@@ -150,7 +150,11 @@ def cmd_signs(args) -> int:
     return EXIT_OK if all(r.passed for r in report) else EXIT_FAIL
 
 
+STATUS_LABELS = {"pass": "PASS", "fail": "FAIL", "skipped": "SKIP", "refused": "REFUSED"}
+
+
 def cmd_verify(args) -> int:
+    from .closure import BudgetExceeded
     from .groups.checks import (
         verify_exterior_class_absorption,
         verify_overgroup_classification,
@@ -167,13 +171,18 @@ def cmd_verify(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     checks = []
-    overall = True
 
     def record(name, result, passed):
-        nonlocal overall
-        checks.append({"name": name, "result": result, "pass": passed})
-        overall = overall and passed
-        print(f"{'PASS' if passed else 'FAIL'}  {name}", file=sys.stderr)
+        status = "pass" if passed else "fail"
+        checks.append({"name": name, "result": result, "status": status, "pass": passed})
+        print(f"{STATUS_LABELS[status]}  {name}", file=sys.stderr)
+
+    def record_not_run(name, status, reason):
+        """A check that did not run: skipped (a hypothesis fails) or refused (budget).
+        `result` keeps the "<status>: <reason>" string that readers match on."""
+        checks.append({"name": name, "result": f"{status}: {reason}", "status": status,
+                       "reason": reason, "pass": False})
+        print(f"{STATUS_LABELS[status]}  {name}: {reason}", file=sys.stderr)
 
     r = verify_parahoric_axioms(g)
     record("parahoric_axioms", {k: v for k, v in r.items() if k != "instance"}, r["pass"])
@@ -189,40 +198,30 @@ def cmd_verify(args) -> int:
                 r["pass"],
             )
 
-    flags = None
-    absorption_ok = True
     try:
         flags = FlagSpace(g, budget=args.budget_cosets)
-    except Exception as exc:  # budget refusal is a reported outcome
-        record("flag_space", {"error": str(exc)}, False)
+    except BudgetExceeded as exc:
+        record_not_run("flag_space", "refused", str(exc))
         flags = None
     if flags is not None:
         try:
             r = verify_exterior_class_absorption(g, flags=flags)
             record("exterior_class_absorption", r["results"], r["pass"])
         except ValueError as exc:
-            checks.append({"name": "exterior_class_absorption", "result": f"skipped: {exc}", "pass": True})
-            absorption_ok = False
+            record_not_run("exterior_class_absorption", "skipped", str(exc))
         if g.h >= 2:
             try:
                 rep = verify_multiplicity_freeness(g, flags=flags, budget=args.budget_cosets)
                 record("multiplicity_freeness", rep.checks, rep.ok)
             except ValueError as exc:
-                checks.append(
-                    {"name": "multiplicity_freeness", "result": f"skipped: {exc}", "pass": True}
-                )
-        ok, witness = (False, None)
-        if g.rs.rank >= 2:
-            from .concave import ConcavityError
-
-            try:
-                ok, witness = generic_exists(g.rs, g.h)
-            except ConcavityError:
-                ok = False
+                record_not_run("multiplicity_freeness", "skipped", str(exc))
+        ok, witness = generic_exists(g.rs, g.h) if g.rs.rank >= 2 else (False, None)
         if ok:
             rep = generic_bound_check(g, witness, flags=flags, budget=args.budget_cosets)
             record("generic_bound", rep.checks, rep.ok)
 
+    # a skipped check is reported but does not fail the run; a refusal does
+    overall = all(c["status"] in ("pass", "skipped") for c in checks)
     payload = {"instance": g.describe(), "checks": checks, "pass": overall}
     _emit(payload, args.format)
     return EXIT_OK if overall else EXIT_FAIL

@@ -1,0 +1,41 @@
+"""The package's one orbit walk and its one budget refusal.
+
+Every enumeration that closes a set under a rule (root reflections, graph
+edges, group generators, left and right multiplication) goes through
+`closure`, and every enumeration that would outgrow its budget raises
+`BudgetExceeded` instead of thrashing.  The flag-orbit kernels keep their
+own loop, but raise this same class.
+"""
+
+from __future__ import annotations
+
+from typing import Callable, Hashable, Iterable
+
+
+class BudgetExceeded(RuntimeError):
+    """An enumeration grew past its budget; the operation is refused."""
+
+
+def closure(seeds: Iterable[Hashable],
+            neighbours: Callable[[Hashable], Iterable[Hashable]],
+            cap: int | None = None) -> set:
+    """The smallest set containing `seeds` and closed under `neighbours`.
+
+    Breadth-first; raises BudgetExceeded as soon as the set holds more than
+    `cap` items (no limit when cap is None).
+    """
+    out = set(seeds)
+    if cap is not None and len(out) > cap:
+        raise BudgetExceeded(f"closure exceeded {cap} elements")
+    frontier = list(out)
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for y in neighbours(x):
+                if y not in out:
+                    out.add(y)
+                    nxt.append(y)
+                    if cap is not None and len(out) > cap:
+                        raise BudgetExceeded(f"closure exceeded {cap} elements")
+        frontier = nxt
+    return out

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .root_system import Coeffs, RootSystem
+from .root_system import Coeffs, RootSystem, positive_systems
 
 Values = dict[Coeffs, int]
 
@@ -92,15 +92,6 @@ class ConcaveFunction:
     def is_borel_type(self) -> bool:
         return all(self._map[a] + self._map[self.rs.neg(a)] == 1 for a in self.rs.roots)
 
-    def contains_pseudo_borel(self, f0: Values | None = None) -> bool:
-        """True iff f = f0 on some positive system of the root system."""
-        rs = self.rs
-        f0 = f0 if f0 is not None else zero_f0(rs)
-        match = {a for a in rs.roots if self._map[a] == f0[a]}
-        if set(rs.positive_roots) <= match:
-            return True
-        return _contains_positive_system(rs, match)
-
     def serialize(self) -> str:
         return "\n".join(
             " ".join(str(c) for c in a) + " : " + str(v) for a, v in self.values
@@ -109,29 +100,6 @@ class ConcaveFunction:
     def __repr__(self) -> str:
         neg = {a: v for a, v in self.values if max(a) <= 0}
         return f"ConcaveFunction({self.rs.dynkin}{self.rs.rank}, h={self.h}, neg={neg})"
-
-
-def _contains_positive_system(rs: RootSystem, match: set[Coeffs],
-                              cap: int = 100_000) -> bool:
-    """Walk the Weyl orbit of the standard positive system looking for one
-    inside `match`.  Capped; only small ranks ever take the slow path."""
-    seen = {rs.positive_roots}
-    frontier = [frozenset(rs.positive_roots)]
-    while frontier:
-        nxt = []
-        for system in frontier:
-            if system <= match:
-                return True
-            for i in range(rs.rank):
-                image = frozenset(rs.reflect(i, a) for a in system)
-                key = tuple(sorted(image))
-                if key not in seen:
-                    seen.add(key)
-                    nxt.append(image)
-                    if len(seen) > cap:
-                        raise ConcavityError("positive-system search cap exceeded")
-        frontier = nxt
-    return False
 
 
 def pseudo_borel_function(rs: RootSystem, h: int) -> ConcaveFunction:
@@ -165,7 +133,7 @@ def is_pseudo_parabolic(f: ConcaveFunction, f0: Values | None = None) -> bool:
                 return False
     if set(rs.positive_roots) <= support:
         return True
-    return _contains_positive_system(rs, support)
+    return any(system <= support for system in positive_systems(rs))
 
 
 def concave_closure(values: Values, rs: RootSystem) -> Values:

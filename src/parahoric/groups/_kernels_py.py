@@ -9,6 +9,8 @@ implements the same interface.
 
 from __future__ import annotations
 
+from ..closure import BudgetExceeded  # re-exported: the compiled twin raises it too
+
 IMPLEMENTATION = "python"
 
 
@@ -78,10 +80,6 @@ def flag_key(g, n: int, mod: int, p: int, k: int) -> tuple[int, ...]:
     t = u[r2]
     u = [(w - t * x) % mod for w, x in zip(u, v)]
     return line + tuple(u) + tuple(v)
-
-
-class BudgetExceeded(RuntimeError):
-    pass
 
 
 class FlagOrbit:

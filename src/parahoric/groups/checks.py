@@ -7,7 +7,8 @@ see what was checked; none of them assume what they verify.
 from __future__ import annotations
 
 from ..concave import ConcaveFunction, generated_function, pseudo_borel_function
-from ..root_system import Coeffs
+from ..closure import closure
+from ..root_system import Coeffs, positive_systems
 from .cosets import FlagSpace
 from .group import FiniteParahoricGroup, Mat, ProductGroup
 from .subgroups import mulclose, ru_borel_gens, subgroup_gens
@@ -209,25 +210,12 @@ def _wedge_coeffs(rs, a: Coeffs, b: Coeffs, gamma: Coeffs) -> tuple[int, int]:
 
 
 def _orbit(g, start: Mat, left_gens, right_gens, cap: int = 10**6) -> set[Mat]:
-    out = {start}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for s in left_gens:
-                y = g.mul(s, x)
-                if y not in out:
-                    out.add(y)
-                    nxt.append(y)
-            for s in right_gens:
-                y = g.mul(x, s)
-                if y not in out:
-                    out.add(y)
-                    nxt.append(y)
-            if len(out) > cap:
-                raise RuntimeError("orbit cap exceeded")
-        frontier = nxt
-    return out
+    """The (left, right) double class of start; BudgetExceeded past cap elements."""
+    return closure(
+        [start],
+        lambda x: [g.mul(s, x) for s in left_gens] + [g.mul(x, s) for s in right_gens],
+        cap,
+    )
 
 
 def verify_rank1_classes(g: FiniteParahoricGroup) -> dict:
@@ -308,7 +296,7 @@ def verify_exterior_class_absorption(g: FiniteParahoricGroup, flags: FlagSpace |
     """Exterior-class absorption: every double class outside B_Delta admits a
     simple root a with (left) g B = (left) g B_a, constant on classes mod
     B_Delta; checked for left = B and left = R_u(B)."""
-    _check_absorption_hypotheses(g)
+    check_adjoint_index(g)
     rs, h = g.rs, g.h
     flags = flags or FlagSpace(g, budget=budget)
     fb = pseudo_borel_function(rs, h)
@@ -317,11 +305,11 @@ def verify_exterior_class_absorption(g: FiniteParahoricGroup, flags: FlagSpace |
     alpha_gens = {a: g.u(a, g.p ** (h - 1)) for a in delta}
 
     b_gens = subgroup_gens(g, fb)
+    inside = flags.base_fibre(f_delta)
     results = {}
     for left_name, left_gens in (("B", b_gens), ("RuB", ru_borel_gens(g))):
         fine = flags.orbit.left_orbit_labels(left_gens, flags.quotient_labels(fb))
         coarse = flags.orbit.left_orbit_labels(left_gens, flags.quotient_labels(f_delta))
-        inside = _bdelta_points(g, flags, f_delta)
         works: dict[int, set] = {}
         for c in set(fine):
             works[c] = set(delta)
@@ -355,21 +343,11 @@ def verify_exterior_class_absorption(g: FiniteParahoricGroup, flags: FlagSpace |
     return {"instance": g.describe(), "results": results, "pass": ok}
 
 
-def _bdelta_points(g: FiniteParahoricGroup, flags: FlagSpace,
-                   f_delta: ConcaveFunction) -> set[int]:
-    """Points of the flag space lying in B_Delta/B (the fiber over the base)."""
-    labels = flags.quotient_labels(f_delta)
-    base = labels[0]
-    return {i for i, lab in enumerate(labels) if lab == base}
-
-
-def _check_absorption_hypotheses(g: FiniteParahoricGroup) -> None:
-    p = g.p
-    if p == 2:
-        raise ValueError("the absorption check requires p != 2")
-    if g.type_label == "A1" and p == 2:
-        raise ValueError("A1 requires p not dividing the adjoint index 2")
-    if g.type_label == "A2" and p == 3:
+def check_adjoint_index(g: FiniteParahoricGroup) -> None:
+    """Absorption and the multiplicity certificate need p prime to the index
+    of the root lattice in the weight lattice; p = 2 is refused at group build,
+    so only A2 at p = 3 remains."""
+    if g.type_label == "A2" and g.p == 3:
         raise ValueError("A2 requires p not dividing the adjoint index 3")
 
 
@@ -527,7 +505,7 @@ def verify_pseudo_borel_conjugacy(g: FiniteParahoricGroup) -> dict:
     rs = g.rs
     fb = pseudo_borel_function(rs, g.h)
     b_set = frozenset(mulclose(g, subgroup_gens(g, fb)))
-    systems = _positive_systems(rs)
+    systems = positive_systems(rs)
     failures = []
     weyl = mulclose(g, [g.weyl_rep(a) for a in rs.simple_roots], maxsize=10**5)
     for system in systems:
@@ -544,21 +522,6 @@ def verify_pseudo_borel_conjugacy(g: FiniteParahoricGroup) -> dict:
             failures.append(system)
     return {"instance": g.describe(), "systems": len(systems),
             "failures": failures, "pass": not failures}
-
-
-def _positive_systems(rs) -> list[frozenset]:
-    seen = {frozenset(rs.positive_roots)}
-    frontier = [frozenset(rs.positive_roots)]
-    while frontier:
-        nxt = []
-        for sys_ in frontier:
-            for i in range(rs.rank):
-                image = frozenset(rs.reflect(i, a) for a in sys_)
-                if image not in seen:
-                    seen.add(image)
-                    nxt.append(image)
-        frontier = nxt
-    return sorted(seen, key=sorted)
 
 
 def verify_reduction_kernel(type_label: str, isogeny: str, p: int, h: int,

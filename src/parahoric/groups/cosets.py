@@ -60,11 +60,15 @@ class FlagSpace:
     def coset_count(self, f: ConcaveFunction) -> int:
         return len(set(self.quotient_labels(f)))
 
+    def base_fibre(self, f: ConcaveFunction) -> set[int]:
+        """The points of P_f/B: the fiber of G/B -> G/P_f over the base point."""
+        labels = self.quotient_labels(f)
+        return {i for i, lab in enumerate(labels) if lab == labels[0]}
+
     def contains(self, f: ConcaveFunction, mat) -> bool:
         """Membership of a group element in P_f (for f containing B):
         g is in P_f iff the flag gB lies in the fiber of the base point."""
-        labels = self.quotient_labels(f)
-        return labels[self.orbit.locate(mat)] == labels[0]
+        return self.orbit.locate(mat) in self.base_fibre(f)
 
 
 @dataclass

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
+from ..closure import closure
 from ..root_system import Coeffs, RootSystem, build_root_system
 from . import kernels
 
@@ -178,13 +179,6 @@ class FiniteParahoricGroup:
             raise ValueError(f"{g} is not in U_{alpha}")
         return vals.pop()
 
-    def in_u_alpha(self, g: Mat, alpha: Coeffs) -> bool:
-        try:
-            x = self.u_param(g, alpha)
-        except ValueError:
-            return False
-        return g == self.u(alpha, x)
-
     def valuation_int(self, x: int):
         """p-adic valuation of x in Z/p^h; math.inf for 0."""
         x %= self.mod
@@ -239,18 +233,7 @@ class FiniteParahoricGroup:
     def torus_elements(self) -> list[Mat]:
         """All torus elements: closure of the torus generators."""
         gens = self.torus_gens()
-        out = {self.identity}
-        frontier = [self.identity]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for t in gens:
-                    y = self.mul(x, t)
-                    if y not in out:
-                        out.add(y)
-                        nxt.append(y)
-            frontier = nxt
-        return sorted(out)
+        return sorted(closure([self.identity], lambda x: [self.mul(x, t) for t in gens]))
 
     def torus_congruence_gens(self) -> list[Mat]:
         """Generators of the depth->=1 part of the torus (R_u(H))."""

@@ -24,6 +24,4 @@ mat_mul = _impl.mat_mul
 flag_key = _impl.flag_key
 line_canon = _impl.line_canon
 FlagOrbit = _impl.FlagOrbit
-BudgetExceeded = _kernels_py.BudgetExceeded
-
-# the compiled kernel raises the shared exception type from _kernels_py
+BudgetExceeded = _kernels_py.BudgetExceeded  # the package-wide class, raised by both kernels

@@ -2,31 +2,15 @@
 
 from __future__ import annotations
 
+from ..closure import closure
 from ..concave import ConcaveFunction
 from .group import FiniteParahoricGroup, Mat
 
 
-class BudgetExceeded(RuntimeError):
-    pass
-
-
 def mulclose(group, gens, maxsize: int | None = None) -> set:
-    """Closure of a generator list under multiplication."""
-    els = {group.identity if hasattr(group, "identity") else group.identity_el()}
-    els.update(gens)
-    frontier = list(els)
-    while frontier:
-        nxt = []
-        for b in frontier:
-            for a in gens:
-                c = group.mul(a, b)
-                if c not in els:
-                    els.add(c)
-                    nxt.append(c)
-                    if maxsize and len(els) > maxsize:
-                        raise BudgetExceeded(f"closure exceeded {maxsize} elements")
-        frontier = nxt
-    return els
+    """Closure of a generator list under multiplication (BudgetExceeded past maxsize)."""
+    identity = group.identity if hasattr(group, "identity") else group.identity_el()
+    return closure([identity], lambda b: [group.mul(a, b) for a in gens], maxsize or None)
 
 
 class Subgroup:
@@ -88,19 +72,6 @@ def borel(g: FiniteParahoricGroup) -> Subgroup:
     from ..concave import pseudo_borel_function
 
     return subgroup_from_concave(g, pseudo_borel_function(g.rs, g.h), name="B")
-
-
-def unipotent_part_gens(g: FiniteParahoricGroup, f: ConcaveFunction,
-                        sign: int) -> list[Mat]:
-    """Generators of the positive (sign=+1) or negative unipotent part of P_f."""
-    out = []
-    for a in sorted(g.rs.roots):
-        if (min(a) >= 0) != (sign > 0):
-            continue
-        i = f[a]
-        if i < g.h:
-            out.append(g.u(a, g.p**i))
-    return out
 
 
 def ru_borel_gens(g: FiniteParahoricGroup) -> list[Mat]:

@@ -17,6 +17,7 @@ from itertools import combinations, permutations
 import sympy
 
 from .chevalley import SignTable
+from .closure import closure
 from .root_system import Coeffs, RootSystem, negative_roots_of_length
 
 Edge = tuple[Coeffs, Coeffs]
@@ -55,17 +56,7 @@ class LevelGraph:
     def is_connected(self) -> bool:
         if not self.vertices:
             return True
-        seen = {self.vertices[0]}
-        frontier = [self.vertices[0]]
-        while frontier:
-            nxt = []
-            for v in frontier:
-                for w in self.neighbors(v):
-                    if w not in seen:
-                        seen.add(w)
-                        nxt.append(w)
-            frontier = nxt
-        return len(seen) == len(self.vertices)
+        return len(closure(self.vertices[:1], self.neighbors)) == len(self.vertices)
 
     def to_text(self) -> str:
         """One edge per line: 'a -- a'  [b]'; isolated labels afterwards."""
@@ -139,17 +130,6 @@ class CycleWitness:
 
     def __len__(self) -> int:
         return len(self.vertices)
-
-    def deltas(self) -> tuple[tuple[Coeffs, Coeffs], ...]:
-        """(d_i, d'_i) with d_i = a_i - b_i and d'_i = a_i - b_{i+1}."""
-        rs = self.graph.rs
-        n = len(self.vertices)
-        out = []
-        for i in range(n):
-            d = rs.sub(self.vertices[i], self.betas[i])
-            dp = rs.sub(self.vertices[i], self.betas[(i + 1) % n])
-            out.append((d, dp))
-        return tuple(out)
 
 
 def _canonical_cycle(verts: tuple[Coeffs, ...]) -> tuple[Coeffs, ...]:

@@ -15,6 +15,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterable
 
+from .closure import closure
 Coeffs = tuple[int, ...]
 
 CLASSICAL_ROOT_COUNTS = {
@@ -113,18 +114,9 @@ class RootSystem:
         self._root_set = frozenset(self.roots)
 
     def _generate(self) -> frozenset[Coeffs]:
-        found = set(self.simple_roots)
-        frontier = list(self.simple_roots)
-        while frontier:
-            nxt = []
-            for beta in frontier:
-                for i in range(self.rank):
-                    image = self.reflect(i, beta)
-                    if image not in found:
-                        found.add(image)
-                        nxt.append(image)
-            frontier = nxt
-        return frozenset(found)
+        return frozenset(closure(
+            self.simple_roots, lambda b: [self.reflect(i, b) for i in range(self.rank)]
+        ))
 
     def reflect(self, i: int, beta: Coeffs) -> Coeffs:
         """Simple reflection s_i(beta) = beta - <beta, a_i^vee> a_i."""
@@ -178,6 +170,17 @@ def build_root_system(dynkin: str, rank: int) -> RootSystem:
     return RootSystem(dynkin, rank)
 
 
+def positive_systems(rs: RootSystem, cap: int = 100_000) -> list[frozenset[Coeffs]]:
+    """The Weyl orbit of the standard positive system, in sorted order.
+
+    Raises BudgetExceeded past `cap` systems (the orbit has |W| members).
+    """
+    def images(system: frozenset[Coeffs]) -> list[frozenset[Coeffs]]:
+        return [frozenset(rs.reflect(i, a) for a in system) for i in range(rs.rank)]
+
+    return sorted(closure([frozenset(rs.positive_roots)], images, cap), key=sorted)
+
+
 def negative_roots_of_length(rs: RootSystem, l: int) -> set[Coeffs]:
     """Gamma_l: negative roots that are sums of exactly l negative simples."""
     if l < 1:
@@ -203,13 +206,6 @@ def simple_decrement_count(rs: RootSystem, alpha: Coeffs) -> int:
     if alpha not in rs._root_set:
         raise ValueError(f"{alpha} is not a root")
     return sum(1 for d in rs.neg_simples if rs.sub(alpha, d) in rs._root_set)
-
-
-def simple_increment_count(rs: RootSystem, alpha: Coeffs) -> int:
-    """Number of negative simple roots d with alpha + d a root."""
-    if alpha not in rs._root_set:
-        raise ValueError(f"{alpha} is not a root")
-    return sum(1 for d in rs.neg_simples if rs.add(alpha, d) in rs._root_set)
 
 
 def pseudo_leaves(rs: RootSystem, l: int) -> set[Coeffs]:

@@ -14,6 +14,7 @@ import json
 from dataclasses import dataclass, field
 from itertools import product
 
+from .closure import closure
 from .concave import (
     ConcaveFunction,
     delta_f,
@@ -21,6 +22,7 @@ from .concave import (
     is_generic,
     pseudo_borel_function,
 )
+from .groups.checks import check_adjoint_index
 from .groups.cosets import FlagSpace, double_coset_count_flags
 from .groups.group import FiniteParahoricGroup
 from .groups.subgroups import solvable_order, subgroup_gens
@@ -38,14 +40,18 @@ def perm_inner(g: FiniteParahoricGroup, f_left: ConcaveFunction,
     return double_coset_count_flags(flags, subgroup_gens(g, f_left), f_right)
 
 
+def _index_sets(roots: list) -> list[frozenset]:
+    """All subsets of roots, in a fixed order."""
+    return [
+        frozenset(a for a, b in zip(roots, bits) if b)
+        for bits in product((0, 1), repeat=len(roots))
+    ]
+
+
 def interval_subsets(f: ConcaveFunction):
     """(I, f_I) for all subsets I of Delta_f, with the join descriptors."""
     delta = sorted(delta_f(f))
-    out = []
-    for bits in product((0, 1), repeat=len(delta)):
-        index = {a for a, b in zip(delta, bits) if b}
-        out.append((frozenset(index), generated_function(f, index)))
-    return delta, out
+    return delta, [(index, generated_function(f, index)) for index in _index_sets(delta)]
 
 
 def st_dim(g: FiniteParahoricGroup, f: ConcaveFunction,
@@ -126,12 +132,12 @@ def _torus_action_tuples(g: FiniteParahoricGroup, roots: list) -> set:
 
 
 def _orbit_count_on_tuples(g: FiniteParahoricGroup, roots: list) -> int:
+    """Torus orbits on the regular characters, lambda in (F_p^x)^roots."""
     p = g.p
     action = _torus_action_tuples(g, roots)
-    tuples = [t for t in product(range(1, p), repeat=len(roots))]
     seen = set()
     orbits = 0
-    for lam in tuples:
+    for lam in product(range(1, p), repeat=len(roots)):
         if lam in seen:
             continue
         orbits += 1
@@ -193,11 +199,14 @@ class SemidirectQuotient:
         self.p = g.p
         self.roots = roots
         self.torus = sorted(_torus_action_tuples(g, roots))
+        self.torus_gens = [tuple(g.root_value(t, a) % g.p for a in roots)
+                           for t in g.torus_gens()]
         self.elements = [
             (t, lam)
             for t in self.torus
             for lam in product(range(self.p), repeat=len(roots))
         ]
+        self.subsets = _index_sets(roots)
 
     def mul(self, a, b):
         (s, x), (t, y) = a, b
@@ -211,75 +220,46 @@ class SemidirectQuotient:
         return (one, zero)
 
     def subgroup(self, index: frozenset) -> list:
-        """T-bar extended by the U_a factors for a in the index set."""
-        zero = [0] * len(self.roots)
-        out = []
-        for t in self.torus:
-            for lam in product(*[
-                range(self.p) if a in index else (0,) for a in self.roots
-            ]):
-                out.append((t, tuple(lam)))
-        return out
+        """Generators of T-bar extended by the U_a factors for a in the index set."""
+        one, zero = self.identity_el()
+        units = [
+            (one, tuple(int(b == a) for b in self.roots))
+            for a in self.roots
+            if a in index
+        ]
+        return [(t, zero) for t in self.torus_gens] + units
 
     def double_cosets(self, left: list, right: list) -> int:
-        left_set = set(left)
-        right_set = set(right)
+        """#(<left> \\ Q / <right>) for generator lists of two subgroups."""
         seen = set()
         count = 0
         for x in self.elements:
             if x in seen:
                 continue
             count += 1
-            orbit = {x}
-            frontier = [x]
-            while frontier:
-                nxt = []
-                for y in frontier:
-                    for l in left_set:
-                        z = self.mul(l, y)
-                        if z not in orbit:
-                            orbit.add(z)
-                            nxt.append(z)
-                    for r in right_set:
-                        z = self.mul(y, r)
-                        if z not in orbit:
-                            orbit.add(z)
-                            nxt.append(z)
-                frontier = nxt
-            seen |= orbit
+            seen |= closure(
+                [x],
+                lambda y: [self.mul(l, y) for l in left] + [self.mul(y, r) for r in right],
+            )
         return count
 
     def st_inner_quotient(self) -> int:
         """(st_T, st_T) inside the quotient, by the same alternating sum."""
-        subsets = [
-            frozenset(s)
-            for bits in product((0, 1), repeat=len(self.roots))
-            for s in [{a for a, b in zip(self.roots, bits) if b}]
-        ]
-        tbar = self.subgroup(frozenset())
         total = 0
-        for index_l in subsets:
+        for index_l in self.subsets:
             left = self.subgroup(index_l)
-            for index_r in subsets:
-                right = self.subgroup(index_r)
+            for index_r in self.subsets:
                 total += (-1) ** (len(index_l) + len(index_r)) * self.double_cosets(
-                    left, right
+                    left, self.subgroup(index_r)
                 )
         return total
 
     def one_st_inner_quotient(self) -> int:
-        subsets = [
-            frozenset(s)
-            for bits in product((0, 1), repeat=len(self.roots))
-            for s in [{a for a, b in zip(self.roots, bits) if b}]
-        ]
         tbar = self.subgroup(frozenset())
-        total = 0
-        for index in subsets:
-            total += (-1) ** len(index) * self.double_cosets(
-                tbar, self.subgroup(index)
-            )
-        return total
+        return sum(
+            (-1) ** len(index) * self.double_cosets(tbar, self.subgroup(index))
+            for index in self.subsets
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -324,15 +304,6 @@ class SteinbergReport:
         return json.dumps(payload, sort_keys=True)
 
 
-def _check_multiplicity_hypotheses(g: FiniteParahoricGroup) -> None:
-    if g.p == 2:
-        raise ValueError("the multiplicity-freeness certificate requires p != 2")
-    if g.type_label == "A1" and g.p == 2:
-        raise ValueError("A1 needs p not dividing the adjoint index 2")
-    if g.type_label == "A2" and g.p == 3:
-        raise ValueError("A2 needs p not dividing the adjoint index 3")
-
-
 def verify_multiplicity_freeness(g: FiniteParahoricGroup, flags: FlagSpace | None = None,
                         budget: int = 10**5) -> SteinbergReport:
     """Certify multiplicity-freeness at this instance by counting.
@@ -341,7 +312,7 @@ def verify_multiplicity_freeness(g: FiniteParahoricGroup, flags: FlagSpace | Non
     quotient T x| U_Delta and the number of torus orbits on regular
     characters; (1_B, st_B) must match its quotient value as well.
     """
-    _check_multiplicity_hypotheses(g)
+    check_adjoint_index(g)
     if g.h < 2:
         raise ValueError("instance checks need h >= 2")
     flags = flags or FlagSpace(g, budget=budget)
@@ -380,13 +351,8 @@ def _bdelta_double_cosets(g: FiniteParahoricGroup, flags: FlagSpace,
                           fb: ConcaveFunction, fi: ConcaveFunction,
                           f_delta: ConcaveFunction) -> int:
     """#(B \\ B_Delta / B_I) inside the flag space."""
-    labels = flags.quotient_labels(fi)
-    base = flags.quotient_labels(f_delta)[0]
-    inside = [
-        i for i, lab in enumerate(flags.quotient_labels(f_delta)) if lab == base
-    ]
-    merged = flags.orbit.left_orbit_labels(subgroup_gens(g, fb), labels)
-    return len({merged[i] for i in inside})
+    merged = flags.orbit.left_orbit_labels(subgroup_gens(g, fb), flags.quotient_labels(fi))
+    return len({merged[i] for i in flags.base_fibre(f_delta)})
 
 
 def generic_bound_check(g: FiniteParahoricGroup, f: ConcaveFunction,
@@ -423,7 +389,7 @@ def generic_bound_check(g: FiniteParahoricGroup, f: ConcaveFunction,
     report.add("U_delta_abelian", True, abelian)
 
     bound = (g.p - 1) ** (len(rs.negative_roots) - rs.rank)
-    orbits = _orbit_count_on_quotient_tuples(g, f, delta)
+    orbits = _orbit_count_on_tuples(g, delta)
     report.add_ge("orbit_count_vs_bound", bound, orbits)
 
     flags = flags or FlagSpace(g, budget=budget)
@@ -431,19 +397,3 @@ def generic_bound_check(g: FiniteParahoricGroup, f: ConcaveFunction,
     report.add_ge("st_st_vs_orbits", orbits, st_st)
     report.add_ge("st_st_vs_bound", bound, st_st)
     return report
-
-
-def _orbit_count_on_quotient_tuples(g: FiniteParahoricGroup, f: ConcaveFunction,
-                                    roots: list) -> int:
-    """Torus orbits on regular characters of prod U_{a,f(a)-1}/U_{a,f(a)}."""
-    p = g.p
-    action = _torus_action_tuples(g, roots)
-    seen = set()
-    orbits = 0
-    for lam in product(range(1, p), repeat=len(roots)):
-        if lam in seen:
-            continue
-        orbits += 1
-        for act in action:
-            seen.add(tuple(a * x % p for a, x in zip(act, lam)))
-    return orbits

@@ -87,6 +87,35 @@ def test_verify_adjoint_a1_json_deterministic():
     assert st_st["computed"] == 1
 
 
+def test_verify_reports_skipped_checks():
+    proc = run_cli(["verify", "--type", "A2", "-p", "3", "-h", "2", "--format", "json"])
+    assert proc.returncode == 0  # a skipped hypothesis is not a failure
+    payload = json.loads(proc.stdout)
+    checks = {c["name"]: c for c in payload["checks"]}
+    for name in ("exterior_class_absorption", "multiplicity_freeness"):
+        assert checks[name]["status"] == "skipped"
+        assert checks[name]["pass"] is False
+        assert "adjoint index 3" in checks[name]["reason"]
+        assert f"SKIP  {name}" in proc.stderr
+    assert checks["parahoric_axioms"]["status"] == "pass"
+
+
+def test_verify_reports_budget_refusal():
+    proc = run_cli(["verify", "--type", "A1", "-p", "3", "-h", "2", "--budget-cosets", "5"])
+    assert proc.returncode == 1
+    assert "REFUSED  flag_space: flag orbit exceeded 5 points" in proc.stderr
+    # a refusal alone fails the run, even when every check that ran passed
+    proc = run_cli(["verify", "--type", "A1", "--isogeny", "adjoint", "-p", "3", "-h", "2",
+                    "--budget-cosets", "5", "--format", "json"])
+    assert proc.returncode == 1
+    payload = json.loads(proc.stdout)
+    assert payload["pass"] is False
+    assert [(c["name"], c["status"]) for c in payload["checks"] if c["status"] != "pass"] == [
+        ("flag_space", "refused")
+    ]
+    assert payload["checks"][-1]["reason"] == "flag orbit exceeded 5 points"
+
+
 def test_verify_sc_a1_p5():
     proc = run_cli(["verify", "--type", "A1", "--isogeny", "sc", "-p", "5",
                     "-h", "2", "--format", "json"])

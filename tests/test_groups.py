@@ -9,6 +9,7 @@ from parahoric.concave import (
     pseudo_borel_function,
 )
 from parahoric.groups.checks import (
+    _orbit,
     lu_factor,
     verify_exterior_class_absorption,
     verify_product_representatives,
@@ -34,6 +35,7 @@ from parahoric.groups.subgroups import (
     subgroup_from_concave,
     subgroup_gens,
 )
+from parahoric.root_system import build_root_system, positive_systems
 
 
 def test_build_group_orders(sl2_9, sl2_25):
@@ -98,6 +100,25 @@ def test_flag_space_counts(flags_sl2_9, flags_pgl2_9, flags_sp4_9, flags_pgl3_25
 def test_flag_budget_refusal(sp4_9):
     with pytest.raises(BudgetExceeded):
         FlagSpace(sp4_9, budget=1000)
+
+
+def test_every_budget_refusal_is_budget_exceeded(sl2_9, sp4_9):
+    """Closures, double classes, the positive-system walk and the flag orbit
+    all refuse a budget with the one exception class."""
+    with pytest.raises(BudgetExceeded):
+        mulclose(sl2_9, sl2_9.gens(), maxsize=10)
+    with pytest.raises(BudgetExceeded):
+        _orbit(sl2_9, sl2_9.identity, sl2_9.gens(), [], cap=10)
+    with pytest.raises(BudgetExceeded):
+        positive_systems(build_root_system("A", 3), cap=10)
+    with pytest.raises(BudgetExceeded):
+        FlagSpace(sp4_9, budget=100)
+
+
+@pytest.mark.parametrize("group", ["sl2_9", "pgl2_9", "sl2_25", "pgl3_25", "sl3_25", "sp4_9"])
+def test_torus_elements_count(request, group):
+    g = request.getfixturevalue(group)
+    assert len(g.torus_elements()) == g.torus_order()
 
 
 def test_double_cosets_match_brute_force(sl2_9, flags_sl2_9):

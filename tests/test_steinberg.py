@@ -107,12 +107,24 @@ def test_regular_orbit_counts(sl2_9, pgl2_9, sl2_25, pgl3_25):
         regular_orbit_count(build_group("A1", "sc", 3, 1))
 
 
-def test_quotient_group_routes(sl2_9):
-    # the sc A1 torus acts through squares, trivial mod 3: image is a point
-    q = SemidirectQuotient(sl2_9, sorted(sl2_9.rs.neg_simples))
-    assert len(q.elements) == 3
-    assert q.st_inner_quotient() == 2
-    assert q.one_st_inner_quotient() == 2
+@pytest.mark.parametrize(
+    "group, elements, st_st, one_st",
+    [
+        # the sc A1 torus acts through squares, trivial mod 3: image is a point
+        pytest.param("sl2_9", 3, 2, 2, id="sl2_9"),
+        pytest.param("pgl3_25", 400, 1, 1, id="pgl3_25"),
+        pytest.param("sl3_25", 400, 1, 1, id="sl3_25"),
+        pytest.param("sp4_9", 18, 2, 2, id="sp4_9"),
+        pytest.param("sl2_25", 10, 2, 2, id="sl2_25"),
+    ],
+)
+def test_quotient_group_routes(request, group, elements, st_st, one_st):
+    """The generator walk reproduces the values of a walk over all elements."""
+    g = request.getfixturevalue(group)
+    q = SemidirectQuotient(g, sorted(g.rs.neg_simples))
+    assert len(q.elements) == elements
+    assert q.st_inner_quotient() == st_st
+    assert q.one_st_inner_quotient() == one_st
 
 
 def test_multiplicity_freeness_instances(sl2_9, pgl2_9, sl2_25, flags_sl2_9, flags_pgl2_9):
