@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from ..concave import ConcaveFunction, generated_function, pseudo_borel_function
 from ..closure import closure
-from ..root_system import Coeffs, positive_systems
+from ..root_system import Coeffs, positive_systems, serialize_roots
 from .cosets import FlagSpace
 from .group import FiniteParahoricGroup, Mat, ProductGroup
 from .subgroups import mulclose, ru_borel_gens, subgroup_gens
@@ -485,7 +485,7 @@ def verify_overgroup_classification(g: FiniteParahoricGroup,
                 continue
             if all(g.mul(g.mul(x, t), g.inv(x)) in s for t in subgroup_gens(g, f)):
                 bad_normalizers.append(
-                    ({a: f[a] for a in g.rs.negative_roots}, x)
+                    ({serialize_roots(g.rs, [a]): f[a] for a in g.rs.negative_roots}, x)
                 )
                 break
 

@@ -10,6 +10,7 @@ enumerable instances.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 
 from ..concave import ConcaveFunction
@@ -28,7 +29,7 @@ class FlagSpace:
         self.group = g
         self.orbit = FlagOrbit(g.n, g.mod, g.p, g.flag_k)
         self.orbit.build(g.gens(), max_points=budget)
-        self._quotients: dict[tuple, list[int]] = {}
+        self._quotients: dict[tuple, array] = {}
         expected, rem = divmod(g.order(), self._borel_order())
         if rem or expected != len(self.orbit):
             raise AssertionError(
@@ -43,8 +44,12 @@ class FlagSpace:
     def __len__(self) -> int:
         return len(self.orbit)
 
-    def quotient_labels(self, f: ConcaveFunction) -> list[int]:
-        """Fiber labels of G/B -> G/P_f; requires f = 0 on the positive system."""
+    def quotient_labels(self, f: ConcaveFunction) -> array:
+        """Fiber labels of G/B -> G/P_f; requires f = 0 on the positive system.
+
+        Each labelling is cached as a C-int array: 4 bytes a point, instead
+        of a list of Python ints.
+        """
         if any(f[a] != 0 for a in self.group.rs.positive_roots):
             raise ValueError("right subgroup must contain the standard pseudo-Borel")
         key = f.values
@@ -54,7 +59,7 @@ class FlagSpace:
                 for a in sorted(self.group.rs.negative_roots)
                 if f[a] < self.group.h
             ]
-            self._quotients[key] = self.orbit.quotient(extra)
+            self._quotients[key] = array("i", self.orbit.quotient(extra))
         return self._quotients[key]
 
     def coset_count(self, f: ConcaveFunction) -> int:

@@ -115,6 +115,8 @@ class FiniteParahoricGroup:
         self.rs: RootSystem = build_root_system(*data["rs"])
         self.positions = data["positions"]()
         self.unit_gen = _primitive_root(p, self.mod)
+        # one kernel serves this instance: its products and its flag orbit
+        self.kernel = kernels.kernel_for(self.n, self.mod, self.flag_k)
         self.identity = kernels.mat_identity(self.n)
         if type_label == "C2":
             for a in self.rs.roots:
@@ -127,7 +129,7 @@ class FiniteParahoricGroup:
     # -- element arithmetic ------------------------------------------------
 
     def mul(self, a: Mat, b: Mat) -> Mat:
-        return self.canon(kernels.mat_mul(a, b, self.n, self.mod))
+        return self.canon(self.kernel.mat_mul(a, b, self.n, self.mod))
 
     def conj(self, g: Mat, x: Mat) -> Mat:
         return self.mul(self.mul(g, x), self.inv(g))
@@ -275,7 +277,7 @@ class FiniteParahoricGroup:
         n, mod = self.n, self.mod
         J = _SYMPLECTIC_J
         gt = tuple(g[j * n + i] for i in range(n) for j in range(n))
-        m = kernels.mat_mul(kernels.mat_mul(gt, J, n, mod), g, n, mod)
+        m = self.kernel.mat_mul(self.kernel.mat_mul(gt, J, n, mod), g, n, mod)
         return m == tuple(v % mod for v in J)
 
     def describe(self) -> dict:
@@ -285,6 +287,7 @@ class FiniteParahoricGroup:
             "p": self.p,
             "h": self.h,
             "order": self.order(),
+            "kernel": self.kernel.IMPLEMENTATION,
         }
 
     def __repr__(self) -> str:

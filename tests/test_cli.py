@@ -116,6 +116,21 @@ def test_verify_reports_budget_refusal():
     assert payload["checks"][-1]["reason"] == "flag orbit exceeded 5 points"
 
 
+def test_verify_sc_a1_p3_json():
+    # SL2(Z/9): root-keyed normalizer witnesses serialize; the exit code
+    # reports the genuine self-normalizer failure, as the text format does
+    proc = run_cli(["verify", "--type", "A1", "-p", "3", "-h", "2", "--format", "json"])
+    assert "Traceback" not in proc.stderr
+    payload = json.loads(proc.stdout)
+    assert proc.returncode == 1
+    assert payload["pass"] is False
+    assert payload["instance"]["kernel"] in ("cython", "python")
+    failed = [c for c in payload["checks"] if c["status"] != "pass"]
+    assert [c["name"] for c in failed] == ["overgroup_classification"]
+    witnesses = failed[0]["result"]["normalizer_witnesses"]
+    assert [f for f, _ in witnesses] == [{"-1": 2}]
+
+
 def test_verify_sc_a1_p5():
     proc = run_cli(["verify", "--type", "A1", "--isogeny", "sc", "-p", "5",
                     "-h", "2", "--format", "json"])
