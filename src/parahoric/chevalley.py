@@ -14,6 +14,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import mul
 
 from .root_system import Coeffs, RootSystem, build_root_system
 
@@ -55,6 +56,28 @@ def _positive_order(rs: RootSystem) -> list[Coeffs]:
     return sorted(rs.positive_roots, key=lambda r: (sum(r), r))
 
 
+def _root_index(
+    rs: RootSystem,
+) -> tuple[list[Coeffs], dict[Coeffs, int], list[list[int]], list[int]]:
+    """The roots in sorted order, their index map, sum table and negation map.
+
+    Root i gets the linear code sum(c_j << 5j), so code(a + b) = code(a) +
+    code(b).  A coefficient of a root is at most 6 in absolute value, so those
+    of a sum of two stay below 16 and the code is injective on them.
+    plus[i][j] is the index of roots[i] + roots[j], or -1 when that sum is not
+    a root (zero included); roots[neg[i]] = -roots[i].
+    """
+    roots = sorted(rs.roots)
+    codes = [sum(c << (5 * j) for j, c in enumerate(r)) for r in roots]
+    of_code = {code: i for i, code in enumerate(codes)}
+    plus = [[of_code.get(ci + cj, -1) for cj in codes] for ci in codes]
+    neg = [of_code[-code] for code in codes]
+    return roots, {r: i for i, r in enumerate(roots)}, plus, neg
+
+
+GAUGE_NAMES = ("plus", "minus", "alternating")
+
+
 def _gauge_fn(gauge, order: list[Coeffs]):
     """Normalize the gauge argument to a map gamma -> +-1."""
     if gauge is None or gauge == "plus":
@@ -81,82 +104,90 @@ def build_sign_table(rs: RootSystem, gauge=None, validate: str = "basic") -> Sig
     `validate` is "basic" (antisymmetry/opposite/cyclic, cheap), "full"
     (adds the exhaustive Jacobi check), or "none".
     """
+    roots, at, plus, neg = _root_index(rs)
     order = _positive_order(rs)
-    pos_index = {g: i for i, g in enumerate(order)}
     gauge_of, gauge_name = _gauge_fn(gauge, order)
+    order_ix = [at[g] for g in order]
+    # pos[i]: place of roots[i] in the order, -1 for a negative root
+    pos = [-1] * len(roots)
+    for place, i in enumerate(order_ix):
+        pos[i] = place
+    norm = [rs.inner(r, r) for r in roots]
 
-    def string_p(a: Coeffs, b: Coeffs) -> int:
-        return rs.root_string_down(a, b) + 1
+    def string_p(i: int, j: int) -> int:
+        """1 + the largest k with roots[j] - k roots[i] a root."""
+        p, down = 1, neg[i]
+        cur = plus[j][down]
+        while cur >= 0:
+            p += 1
+            cur = plus[cur][down]
+        return p
 
-    # n_special[(a, b)] for positive pairs with a < b in the order.
-    n_special: dict[Pair, int] = {}
+    # n_special[(i, j)] for positive pairs with i before j in the order.
+    n_special: dict[tuple[int, int], int] = {}
 
-    def n_positive(a: Coeffs, b: Coeffs) -> int:
-        if pos_index[a] < pos_index[b]:
-            return n_special[(a, b)]
-        return -n_special[(b, a)]
-
-    def n_value(a: Coeffs, b: Coeffs) -> int:
-        """Resolve N(a,b) for any pair of roots with a+b a root."""
-        a_pos = min(a) >= 0
-        b_pos = min(b) >= 0
-        if a_pos and b_pos:
-            return n_positive(a, b)
-        if not a_pos and not b_pos:
-            return -n_value(rs.neg(a), rs.neg(b))
-        if not a_pos:
-            return -n_value(b, a)
+    def n_value(i: int, j: int) -> int:
+        """Resolve N(roots[i], roots[j]) for any pair with a root sum."""
+        if pos[i] >= 0 and pos[j] >= 0:
+            if pos[i] < pos[j]:
+                return n_special[(i, j)]
+            return -n_special[(j, i)]
+        if pos[i] < 0 and pos[j] < 0:
+            return -n_value(neg[i], neg[j])
+        if pos[i] < 0:
+            return -n_value(j, i)
         # a positive, b negative
-        s = rs.add(a, b)
-        if min(s) >= 0:
+        s = plus[i][j]
+        if pos[s] >= 0:
             # cyclic on (a, b, -s) then the opposite rule:
             # eps(a,b) = eps(b,-s) = -eps(-b,s); |N| from the root string.
-            sign = -1 if n_value(rs.neg(b), s) > 0 else 1
-            return sign * string_p(a, b)
-        return -n_value(rs.neg(a), rs.neg(b))
+            sign = -1 if n_value(neg[j], s) > 0 else 1
+            return sign * string_p(i, j)
+        return -n_value(neg[i], neg[j])
 
-    for gamma in order:
+    for gamma, g in zip(order, order_ix):
         if sum(gamma) == 1:
             continue
+        to_gamma = plus[g]
         specials = []
-        for a in order:
-            b = rs.sub(gamma, a)
-            if rs.is_root(b) and min(b) >= 0 and pos_index[a] < pos_index[b]:
-                specials.append((a, b))
+        for i in order_ix:
+            j = to_gamma[neg[i]]
+            if j >= 0 and pos[i] < pos[j]:
+                specials.append((i, j))
         if not specials:
             raise SignTableError(f"no special pair for {gamma}")
-        specials.sort(key=lambda ab: pos_index[ab[0]])
-        a1, b1 = specials[0]
-        n_special[(a1, b1)] = gauge_of(gamma) * string_p(a1, b1)
-        gg = rs.inner(gamma, gamma)
-        for a, b in specials[1:]:
+        i1, j1 = specials[0]
+        n1 = n_special[(i1, j1)] = gauge_of(gamma) * string_p(i1, j1)
+        for i, j in specials[1:]:
             # Jacobi on the zero-sum quadruple (a1, b1, -a, -b)
             t = 0
-            r = rs.sub(b1, a)
-            if rs.is_root(r):
-                t += n_value(b1, rs.neg(a)) * n_value(a1, rs.neg(b)) * gg // rs.inner(r, r)
-            r = rs.sub(a1, a)
-            if rs.is_root(r):
-                t += n_value(rs.neg(a), a1) * n_value(b1, rs.neg(b)) * gg // rs.inner(r, r)
-            n1 = n_special[(a1, b1)]
+            r = plus[j1][neg[i]]
+            if r >= 0:
+                t += n_value(j1, neg[i]) * n_value(i1, neg[j]) * norm[g] // norm[r]
+            r = plus[i1][neg[i]]
+            if r >= 0:
+                t += n_value(neg[i], i1) * n_value(j1, neg[j]) * norm[g] // norm[r]
             if t % n1 != 0:
                 raise SignTableError(f"Jacobi solve not integral at {gamma}: {t} / {n1}")
             # the quadruple identity yields N(-a,-b) = -t/n1; flip for N(a,b)
             n_ab = t // n1
-            expected = string_p(a, b)
+            expected = string_p(i, j)
             if abs(n_ab) != expected:
                 raise SignTableError(
-                    f"Jacobi magnitude mismatch at ({a},{b}): got {n_ab}, |N| should be {expected}"
+                    f"Jacobi magnitude mismatch at ({roots[i]},{roots[j]}): "
+                    f"got {n_ab}, |N| should be {expected}"
                 )
-            n_special[(a, b)] = n_ab
+            n_special[(i, j)] = n_ab
 
     eps: dict[Pair, int] = {}
     pmul: dict[Pair, int] = {}
-    for a in rs.roots:
-        for b in rs.roots:
-            if b == rs.neg(a) or not rs.is_root(rs.add(a, b)):
+    indexed = [(a, at[a]) for a in rs.roots]
+    for a, i in indexed:
+        row = plus[i]
+        for b, j in indexed:
+            if row[j] < 0:
                 continue
-            n = n_value(a, b)
+            n = n_value(i, j)
             eps[(a, b)] = 1 if n > 0 else -1
             pmul[(a, b)] = abs(n)
 
@@ -171,6 +202,16 @@ def build_sign_table(rs: RootSystem, gauge=None, validate: str = "basic") -> Sig
     return table
 
 
+def _first_failure(cases, holds) -> tuple[int, tuple | None]:
+    """(number of cases checked, first case where `holds` fails, or None)."""
+    checked = 0
+    for case in cases:
+        checked += 1
+        if not holds(*case):
+            return checked, case
+    return checked, None
+
+
 def verify_sign_axioms(table: SignTable, full: bool = True) -> list[AxiomReport]:
     """Exhaustively check the four sign conditions plus the Lie Jacobi identity.
 
@@ -180,75 +221,65 @@ def verify_sign_axioms(table: SignTable, full: bool = True) -> list[AxiomReport]
     Jacobi identity (and fails in doubly-laced systems), so those triples are
     covered by the full Jacobi check instead.  With full=False the cocycle
     and Jacobi passes are skipped (used for cheap construction validation).
+
+    The passes run on integer root indices (see `_root_index`); the pairs of
+    `table.eps` are visited in insertion order (sorted order for the cocycle
+    pass) and counterexamples are reported as root tuples.
     """
-    rs = table.rs
-    eps, pmul = table.eps, table.pmul
-    reports = []
+    roots, at, plus, neg = _root_index(table.rs)
+    # pairs[k] is the k-th key of table.eps as indices; eps[i][j] = 0 off the table
+    pairs = [(at[a], at[b]) for a, b in table.eps]
+    eps = [[0] * len(roots) for _ in roots]
+    for (i, j), e in zip(pairs, table.eps.values()):
+        eps[i][j] = e
 
-    checked = 0
-    bad = None
-    for (a, b) in eps:
-        checked += 1
-        if eps[(b, a)] != -eps[(a, b)]:
-            bad = (a, b)
-            break
-    reports.append(AxiomReport("antisymmetry", checked, bad is None, bad))
+    def report(name, checked, bad, note=""):
+        found = None if bad is None else tuple(
+            roots[x] if isinstance(x, int) else x for x in bad)
+        return AxiomReport(name, checked, bad is None, found, note)
 
-    checked = 0
-    bad = None
-    for (a, b) in eps:
-        checked += 1
-        if eps[(rs.neg(a), rs.neg(b))] != -eps[(a, b)]:
-            bad = (a, b)
-            break
-    reports.append(AxiomReport("opposite", checked, bad is None, bad))
-
-    checked = 0
-    bad = None
-    for (a, b) in eps:
-        c = rs.neg(rs.add(a, b))
-        checked += 1
-        if not (eps[(a, b)] == eps[(b, c)] == eps[(c, a)]):
-            bad = (a, b, c)
-            break
-    reports.append(AxiomReport("cyclic", checked, bad is None, bad))
+    reports = [
+        report("antisymmetry", *_first_failure(pairs, lambda i, j: eps[j][i] == -eps[i][j])),
+        report("opposite", *_first_failure(
+            pairs, lambda i, j: eps[neg[i]][neg[j]] == -eps[i][j])),
+    ]
+    triples = ((i, j, neg[plus[i][j]]) for i, j in pairs)
+    reports.append(report("cyclic", *_first_failure(
+        triples, lambda i, j, k: eps[i][j] == eps[j][k] == eps[k][i])))
 
     if not full:
         return reports
 
-    # neighbor lists: for each root x, the (c, x+c) with x+c a root
-    nbr: dict[Coeffs, list[tuple[Coeffs, Coeffs]]] = {x: [] for x in rs.roots}
-    for (a, b) in eps:
-        nbr[a].append((b, rs.add(a, b)))
+    # nbr[x]: the y with roots[x] + roots[y] a root, in table order
+    nbr: list[list[int]] = [[] for _ in roots]
+    for i, j in pairs:
+        nbr[i].append(j)
 
     checked = skipped = 0
     bad = None
-    for (a, b) in sorted(eps):
-        ab = rs.add(a, b)
-        for c, bc in nbr[b]:
-            abc = rs.add(ab, c)
-            if not rs.is_root(abc) or c == rs.neg(ab):
+    for i, j in sorted(pairs):
+        ab = plus[i][j]
+        plus_ab, plus_i, plus_j = plus[ab], plus[i], plus[j]
+        eps_i, eps_j, eps_ab = eps[i], eps[j], eps[ab]
+        left = eps_i[j]
+        for k in nbr[j]:
+            if plus_ab[k] < 0:
                 continue
-            if rs.is_root(rs.add(a, c)):
+            if plus_i[k] >= 0:
                 skipped += 1
                 continue
             checked += 1
-            if eps[(a, b)] * eps[(ab, c)] != eps[(b, c)] * eps[(a, bc)]:
-                bad = (a, b, c)
+            if left * eps_ab[k] != eps_j[k] * eps_i[plus_j[k]]:
+                bad = (i, j, k)
                 break
-        if bad:
+        if bad is not None:
             break
-    reports.append(
-        AxiomReport(
-            "cocycle",
-            checked,
-            bad is None,
-            bad,
-            note=f"{skipped} triples with a+c also a root deferred to the Jacobi check",
-        )
-    )
+    reports.append(report(
+        "cocycle", checked, bad,
+        note=f"{skipped} triples with a+c also a root deferred to the Jacobi check",
+    ))
 
-    reports.append(_verify_lie_jacobi(table, nbr))
+    reports.append(report("jacobi", *_lie_jacobi_failure(table, roots, plus, neg, pairs, nbr)))
     return reports
 
 
@@ -264,69 +295,75 @@ def _coroot_coeffs(rs: RootSystem, a: Coeffs) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _verify_lie_jacobi(table: SignTable, nbr) -> AxiomReport:
+def _lie_jacobi_failure(table: SignTable, roots, plus, neg, pairs, nbr):
     """Check every Jacobi identity among root vectors of the Chevalley basis.
 
     Covers: zero-sum triples (bracket lands in the Cartan), triples whose sum
     is a root (three-term identity with multiplicities), and sl2 triples
-    (a, -a, c), which pin |N| against the Cartan pairings.
+    (a, -a, c), which pin |N| against the Cartan pairings.  Returns the
+    number of identities checked and the first failing triple of indices
+    (its third entry "cartan" for a zero-sum triple), or None.
     """
     rs = table.rs
-    n = table.n
+    size = len(roots)
+    # n[i][j] = N(roots[i], roots[j]), 0 when the sum is not a root
+    n = [[0] * size for _ in roots]
+    for (i, j), key in zip(pairs, table.eps):
+        n[i][j] = table.eps[key] * table.pmul[key]
+    coroot = [_coroot_coeffs(rs, a) for a in roots]
+    # gram_vec[i][x] = (alpha_x, roots[i]), so (c, roots[i]) is an O(rank) dot product
+    gram_vec = [[sum(g * c for g, c in zip(row, a)) for row in rs.gram] for a in roots]
+    norm = [rs.inner(a, a) for a in roots]
     checked = 0
 
-    def pairing(c: Coeffs, a: Coeffs) -> int:
-        # <c, a^vee> = 2 (c, a) / (a, a)
-        return 2 * rs.inner(c, a) // rs.inner(a, a)
-
-    for (a, b) in table.eps:
-        ab = rs.add(a, b)
-        c = rs.neg(ab)
+    for i, j in pairs:
         # N(a,b) h_{a+b} = N(a,b) (h_a + h_b) consistency via cyclic triple:
         # N(a,b) h_c + N(b,c) h_a + N(c,a) h_b must vanish with h_x = x^vee.
-        va = _coroot_coeffs(rs, a)
-        vb = _coroot_coeffs(rs, b)
-        vc = _coroot_coeffs(rs, c)
-        nab, nbc, nca = n(a, b), n(b, c), n(c, a)
+        k = neg[plus[i][j]]
+        nab, nbc, nca = n[i][j], n[j][k], n[k][i]
         checked += 1
-        for i in range(rs.rank):
-            if nab * vc[i] + nbc * va[i] + nca * vb[i] != 0:
-                return AxiomReport("jacobi", checked, False, (a, b, "cartan"))
+        if any(nab * vc + nbc * va + nca * vb
+               for va, vb, vc in zip(coroot[i], coroot[j], coroot[k])):
+            return checked, (i, j, "cartan")
 
-    is_root = rs.is_root
-    for (a, b), nab_val in ((k, table.n(*k)) for k in table.eps):
-        ab = rs.add(a, b)
-        neg_a, neg_b, neg_ab = rs.neg(a), rs.neg(b), rs.neg(ab)
-        for c, abc in nbr[ab]:
-            if c == neg_ab or c == neg_a or c == neg_b:
+    for i, j in pairs:
+        ab = plus[i][j]
+        nab = n[i][j]
+        n_ab, plus_i, plus_j = n[ab], plus[i], plus[j]
+        skip = (neg[ab], neg[i], neg[j])
+        for k in nbr[ab]:
+            if k in skip:
                 continue  # Cartan brackets; covered by the sl2 loop below
             checked += 1
-            total = nab_val * n(ab, c)
-            bc = rs.add(b, c)
-            if is_root(bc):
-                total += n(b, c) * n(bc, a)
-            ca = rs.add(c, a)
-            if is_root(ca):
-                total += n(c, a) * n(ca, b)
+            total = nab * n_ab[k]
+            bc = plus_j[k]
+            if bc >= 0:
+                total += n[j][k] * n[bc][i]
+            ca = plus[k][i]
+            if ca >= 0:
+                total += n[k][i] * n[ca][j]
             if total != 0:
-                return AxiomReport("jacobi", checked, False, (a, b, c))
+                return checked, (i, j, k)
 
-    roots = sorted(rs.roots)
-    for a in roots:
-        na = rs.neg(a)
-        for c in roots:
-            if c == a or c == na:
+    for i in range(size):
+        ni = neg[i]
+        g, norm_i = gram_vec[i], norm[i]
+        for k in range(size):
+            if k == i or k == ni:
                 continue
             checked += 1
-            total = pairing(c, a)
-            if is_root(rs.sub(c, a)):
-                total += n(na, c) * n(rs.sub(c, a), a)
-            if is_root(rs.add(c, a)):
-                total += n(c, a) * n(rs.add(c, a), na)
+            # <c, a^vee> = 2 (c, a) / (a, a)
+            total = 2 * sum(map(mul, roots[k], g)) // norm_i
+            down = plus[k][ni]
+            if down >= 0:
+                total += n[ni][k] * n[down][i]
+            up = plus[k][i]
+            if up >= 0:
+                total += n[k][i] * n[up][ni]
             if total != 0:
-                return AxiomReport("jacobi", checked, False, (a, na, c))
+                return checked, (i, ni, k)
 
-    return AxiomReport("jacobi", checked, True)
+    return checked, None
 
 
 @lru_cache(maxsize=None)

@@ -1,10 +1,11 @@
 """Batch verification driver.
 
-Three subcommands, each emitting a deterministic report (text or JSON) and
-exiting nonzero iff any check fails:
+Four subcommands, each emitting a deterministic report and exiting nonzero
+iff any check fails (2 for a usage error):
 
     parahoric roots  --type E --rank 8
     parahoric graphs --type F --rank 4 [--l 4] [--format dot]
+    parahoric signs  --type G --rank 2 [--gauge plus|minus|alternating|<seed>]
     parahoric verify --type A1 --isogeny sc -p 3 -h 2
 
 Progress goes to stderr, results to stdout.  -h is the depth flag (as in
@@ -17,7 +18,7 @@ import argparse
 import json
 import sys
 
-from .chevalley import build_sign_table, verify_sign_axioms
+from .chevalley import GAUGE_NAMES, build_sign_table, verify_sign_axioms
 from .concave import generic_exists
 from .root_system import (
     InvalidRootSystem,
@@ -135,10 +136,21 @@ def cmd_graphs(args) -> int:
     return EXIT_OK if report["pass"] else EXIT_FAIL
 
 
+def _gauge_arg(text: str):
+    """--gauge: one of GAUGE_NAMES or an integer seed."""
+    if text in GAUGE_NAMES:
+        return text
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"unsupported gauge {text!r} (use {', '.join(GAUGE_NAMES)} or an integer seed)"
+        ) from None
+
+
 def cmd_signs(args) -> int:
     rs = build_root_system(args.type, args.rank)
-    gauge = int(args.gauge) if args.gauge.lstrip("-").isdigit() else args.gauge
-    table = build_sign_table(rs, gauge=gauge)
+    table = build_sign_table(rs, gauge=args.gauge)
     report = verify_sign_axioms(table, full=True)
     for (a, b) in table.pairs():
         va = " ".join(str(c) for c in a)
@@ -252,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     signs = sub.add_parser("signs", help="dump the Chevalley sign table")
     signs.add_argument("--type", required=True, choices=list("ABCDEFG"))
     signs.add_argument("--rank", type=int, required=True)
-    signs.add_argument("--gauge", default="plus")
+    signs.add_argument("--gauge", type=_gauge_arg, default="plus")
     signs.set_defaults(func=cmd_signs)
 
     verify = sub.add_parser(

@@ -1,6 +1,7 @@
 import pytest
 
 from parahoric.chevalley import (
+    SignTable,
     build_sign_table,
     default_sign_table,
     mutate_one_sign,
@@ -69,24 +70,44 @@ def test_simply_laced_pmul_is_one():
         assert set(default_sign_table(t, n).pmul.values()) == {1}
 
 
-def test_mutation_is_caught():
-    table = build_sign_table(build_root_system("A", 2))
-    bad = mutate_one_sign(table)
-    reports = verify_sign_axioms(bad, full=True)
-    failed = {r.name for r in reports if not r.passed}
-    assert failed & {"antisymmetry", "opposite", "cyclic", "cocycle", "jacobi"}
+MUTATION_TYPES = [("A", 2), ("B", 3), ("C", 3), ("D", 4), ("G", 2), ("F", 4)]
+WHERE = ("smallest", "middle", "largest")
 
 
-def test_one_directional_flip_breaks_antisymmetry():
-    table = build_sign_table(build_root_system("A", 2))
+def _pair_at(table, where):
+    pairs = table.pairs()
+    return pairs[{"smallest": 0, "middle": len(pairs) // 2, "largest": -1}[where]]
+
+
+def _one_way_flip(table, pair):
     eps = dict(table.eps)
-    pair = min(eps)
     eps[pair] = -eps[pair]
-    from parahoric.chevalley import SignTable
+    return SignTable(table.rs, eps, dict(table.pmul))
 
-    bad = SignTable(table.rs, eps, dict(table.pmul))
-    reports = verify_sign_axioms(bad, full=True)
-    assert not [r for r in reports if r.name == "antisymmetry"][0].passed
+
+@pytest.mark.parametrize("where", WHERE)
+@pytest.mark.parametrize("t,n", MUTATION_TYPES)
+def test_mutation_is_caught(t, n, where):
+    # flipping both orientations keeps antisymmetry but breaks every other sign rule
+    table = default_sign_table(t, n)
+    bad = mutate_one_sign(table, _pair_at(table, where))
+    reports = {r.name: r for r in verify_sign_axioms(bad, full=True)}
+    assert reports["antisymmetry"].passed
+    assert not reports["opposite"].passed
+    assert not reports["cyclic"].passed
+    assert not reports["jacobi"].passed
+
+
+@pytest.mark.parametrize("where", WHERE)
+@pytest.mark.parametrize("t,n", MUTATION_TYPES)
+def test_one_directional_flip_breaks_antisymmetry(t, n, where):
+    table = default_sign_table(t, n)
+    a, b = _pair_at(table, where)
+    reports = verify_sign_axioms(_one_way_flip(table, (a, b)), full=True)
+    antisymmetry = [r for r in reports if r.name == "antisymmetry"][0]
+    assert not antisymmetry.passed
+    assert antisymmetry.counterexample in ((a, b), (b, a))
+    assert not [r for r in reports if r.name == "jacobi"][0].passed
 
 
 def test_gauges_build_and_differ():
@@ -106,3 +127,104 @@ def test_cocycle_proviso_counted_in_f4():
     cocycle = [r for r in reports if r.name == "cocycle"][0]
     assert cocycle.passed
     assert "1728" in cocycle.note  # deferred a+c-root triples exist
+
+
+def _golden_table(case):
+    t, n, kind = case
+    if kind == "plus":
+        return default_sign_table(t, n)
+    if isinstance(kind, int):
+        return build_sign_table(build_root_system(t, n), gauge=kind)
+    table = default_sign_table(t, n)
+    if kind == "flip-min":
+        return mutate_one_sign(table)
+    if kind == "flip-max":
+        return mutate_one_sign(table, max(table.eps))
+    if kind == "one-way-max":
+        return _one_way_flip(table, max(table.eps))
+    if kind == "double":  # every |N| doubled: only the sl2 identities can see it
+        return SignTable(table.rs, dict(table.eps), {k: 2 * p for k, p in table.pmul.items()})
+    # "triple-mid": flip all six orientations of one zero-sum triple, which
+    # keeps the Cartan identities and breaks a three-term one
+    rs = table.rs
+    a, b = _pair_at(table, "middle")
+    c = rs.neg(rs.add(a, b))
+    eps = dict(table.eps)
+    for x, y in ((a, b), (b, a), (b, c), (c, b), (c, a), (a, c)):
+        eps[(x, y)] = -eps[(x, y)]
+    return SignTable(rs, eps, dict(table.pmul))
+
+
+_NOTE0 = "0 triples with a+c also a root deferred to the Jacobi check"
+_NOTE_F4 = "1728 triples with a+c also a root deferred to the Jacobi check"
+
+
+def _passing(counts, note=_NOTE0):
+    names = ("antisymmetry", "opposite", "cyclic", "cocycle", "jacobi")
+    return [(name, k, True, None, note if name == "cocycle" else "")
+            for name, k in zip(names, counts)]
+
+
+# Exact reports, recorded from the tuple-arithmetic implementation: every
+# counter, counterexample, note and the report order must stay as they are.
+GOLDEN_REPORTS = {
+    ("A", 1, "plus"): _passing((0, 0, 0, 0, 0)),
+    ("G", 2, "plus"): _passing((60, 60, 60, 120, 372)),
+    ("B", 3, "plus"): _passing((120, 120, 120, 312, 984)),
+    ("F", 4, "plus"): _passing((816, 816, 816, 5616, 15696), _NOTE_F4),
+    ("F", 4, 11): _passing((816, 816, 816, 5616, 15696), _NOTE_F4),
+    ("E", 8, "plus"): _passing((13440, 13440, 13440, 362880, 796320)),
+    ("A", 2, "flip-min"): [
+        ("antisymmetry", 12, True, None, ""),
+        ("opposite", 1, False, ((0, 1), (-1, -1)), ""),
+        ("cyclic", 1, False, ((0, 1), (-1, -1), (1, 0)), ""),
+        ("cocycle", 0, True, None, _NOTE0),
+        ("jacobi", 1, False, ((0, 1), (-1, -1), "cartan"), ""),
+    ],
+    ("G", 2, "flip-min"): [
+        ("antisymmetry", 60, True, None, ""),
+        ("opposite", 1, False, ((0, 1), (-3, -2)), ""),
+        ("cyclic", 1, False, ((0, 1), (-3, -2), (3, 1)), ""),
+        ("cocycle", 1, False, ((-3, -2), (0, 1), (1, 0)), _NOTE0),
+        ("jacobi", 1, False, ((0, 1), (-3, -2), "cartan"), ""),
+    ],
+    ("G", 2, "flip-max"): [
+        ("antisymmetry", 60, True, None, ""),
+        ("opposite", 1, False, ((0, 1), (-3, -2)), ""),
+        ("cyclic", 7, False, ((-3, -1), (3, 2), (0, -1)), ""),
+        ("cocycle", 26, False, ((-2, -1), (3, 2), (0, -1)), _NOTE0),
+        ("jacobi", 7, False, ((-3, -1), (3, 2), "cartan"), ""),
+    ],
+    ("B", 3, "one-way-max"): [
+        ("antisymmetry", 38, False, ((1, 2, 2), (0, -1, 0)), ""),
+        ("opposite", 38, False, ((1, 2, 2), (0, -1, 0)), ""),
+        ("cyclic", 38, False, ((1, 2, 2), (0, -1, 0), (-1, -1, -2)), ""),
+        ("cocycle", 52, False, ((-1, -1, -1), (1, 2, 2), (0, -1, 0)), _NOTE0),
+        ("jacobi", 38, False, ((1, 2, 2), (0, -1, 0), "cartan"), ""),
+    ],
+    ("F", 4, "triple-mid"): [
+        ("antisymmetry", 816, True, None, ""),
+        ("opposite", 58, False, ((1, 2, 3, 1), (0, 0, 0, 1)), ""),
+        ("cyclic", 816, True, None, ""),
+        ("cocycle", 18, False, ((-2, -3, -4, -2), (1, 1, 1, 0), (0, 0, 0, 1)), _NOTE0),
+        ("jacobi", 939, False, ((0, 1, 2, 2), (-1, -2, -3, -2), (1, 2, 3, 1)), ""),
+    ],
+    ("B", 3, "double"): [
+        ("antisymmetry", 120, True, None, ""),
+        ("opposite", 120, True, None, ""),
+        ("cyclic", 120, True, None, ""),
+        ("cocycle", 312, True, None, _NOTE0),
+        ("jacobi", 697, False, ((-1, -2, -2), (1, 2, 2), (-1, -1, -2)), ""),
+    ],
+}
+
+
+@pytest.mark.parametrize("case", list(GOLDEN_REPORTS), ids=lambda c: "-".join(map(str, c)))
+def test_axiom_reports_golden(case):
+    table = _golden_table(case)
+    reports = [(r.name, r.checked, r.passed, r.counterexample, r.note)
+               for r in verify_sign_axioms(table, full=True)]
+    assert reports == GOLDEN_REPORTS[case]
+    basic = [(r.name, r.checked, r.passed, r.counterexample, r.note)
+             for r in verify_sign_axioms(table, full=False)]
+    assert basic == GOLDEN_REPORTS[case][:3]

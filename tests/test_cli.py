@@ -65,6 +65,35 @@ def test_graphs_dot_output():
     assert proc.stdout.startswith("graph G3 {")
 
 
+def test_signs_g2_reports_every_axiom():
+    proc = run_cli(["signs", "--type", "G", "--rank", "2"])
+    assert proc.returncode == 0
+    assert proc.stderr.splitlines() == [
+        "axiom antisymmetry: pass (60 checked)",
+        "axiom opposite: pass (60 checked)",
+        "axiom cyclic: pass (60 checked)",
+        "axiom cocycle: pass (120 checked)",
+        "axiom jacobi: pass (372 checked)",
+    ]
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 60  # one line per ordered pair with a root sum
+    assert lines[0] == "(-3 -2) + (0 1) : eps=+1 p=1"
+
+
+def test_signs_seed_gauge():
+    proc = run_cli(["signs", "--type", "A", "--rank", "2", "--gauge", "-3"])
+    assert proc.returncode == 0
+    assert "axiom jacobi: pass (36 checked)" in proc.stderr
+
+
+def test_signs_rejects_unknown_gauge():
+    proc = run_cli(["signs", "--type", "A", "--rank", "2", "--gauge", "foo"])
+    assert proc.returncode == 2
+    assert "error: argument --gauge: unsupported gauge 'foo'" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not proc.stdout
+
+
 def test_verify_rejects_p2():
     proc = run_cli(["verify", "--type", "A1", "-p", "2", "-h", "2"])
     assert proc.returncode == 2
