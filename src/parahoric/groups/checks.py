@@ -22,17 +22,18 @@ def lu_factor(g: FiniteParahoricGroup, m: Mat):
     n, mod, p = g.n, g.mod, g.p
     a = [list(m[i * n:(i + 1) * n]) for i in range(n)]
     lower = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    pivot_inv = []
     for col in range(n):
         if a[col][col] % p == 0:
             raise ValueError("not in the big cell")
-        inv = pow(a[col][col], -1, mod)
+        pivot_inv.append(pow(a[col][col], -1, mod))
         for r in range(col + 1, n):
-            t = a[r][col] * inv % mod
+            t = a[r][col] * pivot_inv[col] % mod
             lower[r][col] = t
             a[r] = [(v - t * w) % mod for v, w in zip(a[r], a[col])]
     diag = [a[i][i] for i in range(n)]
     upper = [
-        [(a[i][j] * pow(diag[i], -1, mod)) % mod if j > i else (1 if i == j else 0)
+        [a[i][j] * pivot_inv[i] % mod if j > i else (1 if i == j else 0)
          for j in range(n)]
         for i in range(n)
     ]
@@ -115,9 +116,7 @@ def verify_parahoric_axioms(g: FiniteParahoricGroup) -> dict:
                     projections = set()
                     for x in range(mod // p**i):
                         for y in range(mod // p**j):
-                            u = g.u(a, p**i * x % mod)
-                            v = g.u(b, p**j * y % mod)
-                            w = g.commutator(u, v)
+                            w = g.root_commutator(a, p**i * x, b, p**j * y)
                             if not wedge:
                                 if w != g.identity:
                                     failures.append(("commute", a, b, i, j))
@@ -152,9 +151,7 @@ def verify_parahoric_axioms(g: FiniteParahoricGroup) -> dict:
             tparts = set()
             for x in range(mod):
                 for y in range(mod // p ** min(i, h)):
-                    u = g.u(a, x)
-                    v = g.u(na, p ** min(i, h) * y % mod)
-                    w = g.commutator(u, v)
+                    w = g.root_commutator(a, x, na, p ** min(i, h) * y)
                     try:
                         _, d, _ = lu_factor(g, w)
                     except ValueError:
@@ -182,11 +179,12 @@ def verify_parahoric_axioms(g: FiniteParahoricGroup) -> dict:
                 failures.append(("H-depth", a, i, v_min))
             if i == 0:
                 depth0_shifts[a] = {"v0": v_min, "order": len(h_ai)}
+            inverses = [(t, g.inv(t)) for t in h_ai]
             for j in range(h):
                 checked += 1
                 image = mulclose(g, sorted(
-                    g.commutator(t, g.u(a, p**j * yv % mod))
-                    for t in h_ai
+                    g.mul(g.mul(t, g.u(a, p**j * yv)), g.mul(t_inv, g.u(a, -p**j * yv)))
+                    for t, t_inv in inverses
                     for yv in range(mod // p**j)
                 ))
                 if image != u_set(a, min(j + v_min, h)):
@@ -480,10 +478,12 @@ def verify_overgroup_classification(g: FiniteParahoricGroup,
     # offenders are reported with a witness.
     bad_normalizers = []
     for s, f in sorted(concave_sets.items(), key=lambda kv: len(kv[0])):
+        f_gens = subgroup_gens(g, f)
         for x in sorted(elements):
             if x in s:
                 continue
-            if all(g.mul(g.mul(x, t), g.inv(x)) in s for t in subgroup_gens(g, f)):
+            x_inv = g.inv(x)
+            if all(g.mul(g.mul(x, t), x_inv) in s for t in f_gens):
                 bad_normalizers.append(
                     ({serialize_roots(g.rs, [a]): f[a] for a in g.rs.negative_roots}, x)
                 )
@@ -507,7 +507,8 @@ def verify_pseudo_borel_conjugacy(g: FiniteParahoricGroup) -> dict:
     b_set = frozenset(mulclose(g, subgroup_gens(g, fb)))
     systems = positive_systems(rs)
     failures = []
-    weyl = mulclose(g, [g.weyl_rep(a) for a in rs.simple_roots], maxsize=10**5)
+    weyl = [(w, g.inv(w))
+            for w in mulclose(g, [g.weyl_rep(a) for a in rs.simple_roots], maxsize=10**5)]
     for system in systems:
         gens = list(g.torus_gens()) + [g.u(a, 1) for a in sorted(system)]
         other = frozenset(mulclose(g, gens))
@@ -516,8 +517,8 @@ def verify_pseudo_borel_conjugacy(g: FiniteParahoricGroup) -> dict:
             continue
         # w other w^-1 = B iff every conjugated generator lands in B
         if not any(
-            all(g.mul(g.mul(w, x), g.inv(w)) in b_set for x in gens)
-            for w in weyl
+            all(g.mul(g.mul(w, x), w_inv) in b_set for x in gens)
+            for w, w_inv in weyl
         ):
             failures.append(system)
     return {"instance": g.describe(), "systems": len(systems),

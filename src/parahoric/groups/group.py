@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
+from itertools import combinations, permutations
 
 from ..closure import closure
 from ..root_system import Coeffs, RootSystem, build_root_system
@@ -72,6 +73,29 @@ def _c2_positions():
 
 _SYMPLECTIC_J = (0, 0, 0, 1, 0, 0, 1, 0, 0, -1, 0, 0, -1, 0, 0, 0)
 
+
+@lru_cache(maxsize=None)
+def _adjugate_function(n: int):
+    """adj(m) for flat n x n matrices m, as one expression compiled once per n.
+
+    Entry r * n + c of adj(m) is (-1)^(r+c) times the minor of m without row
+    c and column r, expanded over the permutations of that minor.  Written
+    out as source, the expansion costs only its products when evaluated.
+    """
+    entries = []
+    for r in range(n):
+        for c in range(n):
+            rows = [i for i in range(n) if i != c]
+            cols = [j for j in range(n) if j != r]
+            terms = []
+            for perm in permutations(range(n - 1)):
+                odd = (r + c + sum(x > y for x, y in combinations(perm, 2))) % 2
+                factors = "*".join(f"m[{rows[k] * n + cols[perm[k]]}]" for k in range(n - 1))
+                terms.append(("-" if odd else "+") + factors)
+            entries.append("".join(terms))
+    return eval(f"lambda m: [{', '.join(entries)}]")
+
+
 _TYPE_DATA = {
     "A1": dict(rs=("A", 1), n=2, flag_k=1, dim=3, positions=_a1_positions),
     "A2": dict(rs=("A", 2), n=3, flag_k=2, dim=8, positions=_a2_positions),
@@ -118,6 +142,13 @@ class FiniteParahoricGroup:
         # one kernel serves this instance: its products and its flag orbit
         self.kernel = kernels.kernel_for(self.n, self.mod, self.flag_k)
         self.identity = kernels.mat_identity(self.n)
+        self._adjugate = _adjugate_function(self.n)
+        for a in self.rs.roots:
+            # u_a(x) = 1 + x N_a is additive, so u_a(x)^-1 = u_a(-x), iff
+            # N_a^2 = 0; the commutator checks rely on that closed form
+            square = self.kernel.mat_mul(self.u(a, 1), self.u(a, -1), self.n, self.mod)
+            if square != self.identity:
+                raise GroupBuildError(f"u_{a}(1) u_{a}(-1) != 1: u_{a} is not additive")
         if type_label == "C2":
             for a in self.rs.roots:
                 assert self._is_symplectic(self.u(a, 1)), f"u_{a}(1) not symplectic"
@@ -135,33 +166,36 @@ class FiniteParahoricGroup:
         return self.mul(self.mul(g, x), self.inv(g))
 
     def inv(self, g: Mat) -> Mat:
-        """Inverse by Gaussian elimination over the local ring."""
-        n, mod, p = self.n, self.mod, self.p
-        a = [list(g[i * n:(i + 1) * n]) + [1 if j == i else 0 for j in range(n)]
-             for i in range(n)]
-        for col in range(n):
-            piv = next(r for r in range(col, n) if a[r][col] % p)
-            a[col], a[piv] = a[piv], a[col]
-            s = pow(a[col][col], -1, mod)
-            a[col] = [v * s % mod for v in a[col]]
-            for r in range(n):
-                if r != col and a[r][col]:
-                    t = a[r][col]
-                    a[r] = [(v - t * w) % mod for v, w in zip(a[r], a[col])]
-        return self.canon(tuple(a[i][n + j] for i in range(n) for j in range(n)))
+        """Inverse as adj(g) / det(g); on adjoint groups `canon` absorbs det(g)."""
+        n, mod = self.n, self.mod
+        adj = self._adjugate(g)
+        if self.isogeny == "adjoint":
+            return self.canon(tuple(v % mod for v in adj))
+        det = sum(g[j] * adj[j * n] for j in range(n)) % mod
+        s = 1 if det == 1 else pow(det, -1, mod)
+        return tuple(v * s % mod for v in adj)
 
     def canon(self, g: Mat) -> Mat:
-        """Canonical representative: scalar-normalized for adjoint groups."""
+        """Canonical representative: scalar-normalized for adjoint groups.
+
+        The entries of g are reduced mod p^h, so a g whose first unit entry
+        is already 1 is its own representative and is returned as it is.
+        """
         if self.isogeny != "adjoint":
             return g
         for v in g:
             if v % self.p:
+                if v == 1:
+                    return g
                 s = pow(v, -1, self.mod)
                 return tuple(w * s % self.mod for w in g)
         raise AssertionError("matrix with no unit entry")
 
-    def commutator(self, a: Mat, b: Mat) -> Mat:
-        return self.mul(self.mul(a, b), self.mul(self.inv(a), self.inv(b)))
+    def root_commutator(self, a: Coeffs, x: int, b: Coeffs, y: int) -> Mat:
+        """[u_a(x), u_b(y)] = u_a(x) u_b(y) u_a(-x) u_b(-y), with no inversion:
+        every u_a is additive (checked at build)."""
+        return self.mul(self.mul(self.u(a, x), self.u(b, y)),
+                        self.mul(self.u(a, -x), self.u(b, -y)))
 
     # -- structural pieces -------------------------------------------------
 
@@ -207,11 +241,7 @@ class FiniteParahoricGroup:
             self.mul(self.u(alpha, t), self.u(self.rs.neg(alpha), (-tinv) % self.mod)),
             self.u(alpha, t),
         )
-        na_1 = self.mul(
-            self.mul(self.u(alpha, 1), self.u(self.rs.neg(alpha), self.mod - 1)),
-            self.u(alpha, 1),
-        )
-        return self.mul(na_t, self.inv(na_1))
+        return self.mul(na_t, self.inv(self.weyl_rep(alpha)))
 
     def weyl_rep(self, alpha: Coeffs) -> Mat:
         return self.mul(
@@ -219,18 +249,21 @@ class FiniteParahoricGroup:
             self.u(alpha, 1),
         )
 
-    def torus_gens(self) -> list[Mat]:
-        g = self.unit_gen
+    def _torus_gens_at(self, x: int) -> list[Mat]:
+        """alpha^vee(x) for the simple roots (sc), or the diagonal classes
+        diag(1, .., x, .., 1) with x in each of the first n - 1 places (adjoint)."""
         if self.isogeny == "sc":
-            return [self.coroot(a, g) for a in self.rs.simple_roots]
-        # adjoint: the full diagonal classes
+            return [self.coroot(a, x) for a in self.rs.simple_roots]
         n = self.n
         out = []
         for i in range(n - 1):
             m = list(self.identity)
-            m[i * n + i] = g
+            m[i * n + i] = x
             out.append(self.canon(tuple(m)))
         return out
+
+    def torus_gens(self) -> list[Mat]:
+        return self._torus_gens_at(self.unit_gen)
 
     def torus_elements(self) -> list[Mat]:
         """All torus elements: closure of the torus generators."""
@@ -241,16 +274,7 @@ class FiniteParahoricGroup:
         """Generators of the depth->=1 part of the torus (R_u(H))."""
         if self.h == 1:
             return []
-        g = 1 + self.p
-        if self.isogeny == "sc":
-            return [self.coroot(a, g) for a in self.rs.simple_roots]
-        n = self.n
-        out = []
-        for i in range(n - 1):
-            m = list(self.identity)
-            m[i * n + i] = g
-            out.append(self.canon(tuple(m)))
-        return out
+        return self._torus_gens_at(1 + self.p)
 
     def root_value(self, t: Mat, alpha: Coeffs) -> int:
         """alpha(t) read off the conjugation action on u_alpha(1)."""

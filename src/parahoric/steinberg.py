@@ -378,9 +378,7 @@ def generic_bound_check(g: FiniteParahoricGroup, f: ConcaveFunction,
         for b in rs.negative_roots:
             s = rs.add(a, b)
             if rs.is_root(s) and min(s) < 0:
-                u = g.u(a, g.p ** f_delta[a])
-                v = g.u(b, g.p ** f_delta[b])
-                w = g.commutator(u, v)
+                w = g.root_commutator(a, g.p ** f_delta[a], b, g.p ** f_delta[b])
                 # the commutator must fall back inside P cap U-
                 if w != g.identity:
                     x = g.u_param(w, s)
