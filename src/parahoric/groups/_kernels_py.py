@@ -3,8 +3,9 @@
 Matrices are flat tuples of length n*n with entries reduced mod m = p^h.
 A flag key is the canonical form of the span flag of the first k columns
 (k = 1: a line; k = 2: a line inside a plane), which identifies the coset
-of the standard flag stabilizer.  The compiled twin in _kernels.pyx
-implements the same interface.
+of the standard flag stabilizer.  The compiled twin, built from
+_kernels.cpp, implements the same interface with the same outputs; this
+module is the reference the differential tests compare it against.
 """
 
 from __future__ import annotations

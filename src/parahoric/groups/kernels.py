@@ -1,11 +1,11 @@
 """Kernel selection: the compiled core where it is exact, else pure Python.
 
-The compiled kernel `_kernels` (cythonized from `_kernels.pyx`, or built
-from the tracked `_kernels.cpp`) serves an instance only when its
-fixed-size buffers, C `int` arithmetic and one-word packing can hold it;
-every other instance goes to `_kernels_py`.  So a compiled build never
-changes a count and never refuses an instance the Python kernel runs.
-`IMPLEMENTATION` names the kernel that loaded; `kernel_for` returns the one
+The compiled kernel `_kernels` (built by setup.py from the hand-written C++
+source `_kernels.cpp`) serves an instance only when its fixed-size buffers,
+C `int` arithmetic and one-word packing can hold it; every other instance
+goes to `_kernels_py`.  So a compiled build never changes a count and never
+refuses an instance the Python kernel runs.  `IMPLEMENTATION` names the
+kernel that loaded ("compiled" or "python"); `kernel_for` returns the one
 that serves an instance.  Set PARAHORIC_PURE_PYTHON=1 to skip the compiled
 kernel altogether.
 """
@@ -36,7 +36,7 @@ def kernel_for(n: int, mod: int, k: int | None = None):
         return _kernels_py
     if n > 4:  # fixed int[16] matrix buffers
         return _kernels_py
-    if n * (mod - 1) ** 2 >= 2**31:  # _mul_arr sums a row times a column in a C int
+    if n * (mod - 1) ** 2 >= 2**31:  # mul_arr sums a row times a column in a C int
         return _kernels_py
     # FlagOrbit packs a matrix, and a flag key of n (line) or 3n (line in a
     # plane) entries, into one 64-bit word of bits(mod)-bit fields

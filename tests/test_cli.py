@@ -153,7 +153,7 @@ def test_verify_sc_a1_p3_json():
     payload = json.loads(proc.stdout)
     assert proc.returncode == 1
     assert payload["pass"] is False
-    assert payload["instance"]["kernel"] in ("cython", "python")
+    assert payload["instance"]["kernel"] in ("compiled", "python")
     failed = [c for c in payload["checks"] if c["status"] != "pass"]
     assert [c["name"] for c in failed] == ["overgroup_classification"]
     witnesses = failed[0]["result"]["normalizer_witnesses"]

@@ -1,12 +1,14 @@
-"""Kernel tests: the compiled kernel against the pure-Python one, the
-per-instance routing between them, and the freshness of the generated C++."""
+"""Kernel tests: the compiled kernel (`_kernels.cpp`) against the pure-Python
+one (`_kernels_py`), bit for bit, their shared handling of points outside the
+orbit and of representative indices, and the per-instance routing between
+them."""
 
 import importlib.machinery
 import importlib.util
 import random
-import re
 import subprocess
 import sys
+from array import array
 from pathlib import Path
 
 import pytest
@@ -16,8 +18,7 @@ from parahoric.groups import kernels
 from parahoric.groups.group import build_group
 
 ROOT = Path(__file__).resolve().parents[1]
-GROUPS = ROOT / "src" / "parahoric" / "groups"
-CASES = [(2, 27, 3, 1), (3, 25, 5, 2), (3, 81, 3, 2), (4, 9, 3, 2)]
+CASES = [(2, 27, 3, 1), (3, 25, 5, 2), (3, 81, 3, 2), (4, 9, 3, 2), (2, 3**9, 3, 1)]
 # beyond the compiled kernel's range: (type, p, h) -> (n, mod)
 OUT_OF_RANGE = {("A2", 3, 5): (3, 243), ("C2", 3, 3): (4, 27), ("C2", 5, 2): (4, 25)}
 
@@ -48,8 +49,14 @@ def compiled(tmp_path_factory):
     return module
 
 
+@pytest.fixture(params=["compiled", "python"])
+def kernel(request):
+    """Each kernel module in turn, for properties both must have."""
+    return request.getfixturevalue("compiled") if request.param == "compiled" else kpy
+
+
 def test_implementation_reported():
-    assert kernels.IMPLEMENTATION in ("cython", "python")
+    assert kernels.IMPLEMENTATION in ("compiled", "python")
 
 
 @pytest.mark.parametrize("n,mod,p,k", CASES)
@@ -62,21 +69,18 @@ def test_mat_mul_matches(compiled, n, mod, p, k):
 
 
 @pytest.mark.parametrize("args", [("A1", "sc", 3, 3), ("A2", "sc", 5, 2),
-                                  ("C2", "sc", 3, 2), ("A2", "adjoint", 5, 2)])
+                                  ("C2", "sc", 3, 2), ("A2", "adjoint", 5, 2),
+                                  ("A1", "sc", 3, 9)])
 def test_flag_orbits_match(compiled, args):
-    g = build_group(*args)
-    fast = compiled.FlagOrbit(g.n, g.mod, g.p, g.flag_k)
-    slow = kpy.FlagOrbit(g.n, g.mod, g.p, g.flag_k)
-    fast.build(g.gens(), max_points=10**5)
-    slow.build(g.gens(), max_points=10**5)
-    assert len(fast) == len(slow)
-    # same point set: every slow representative locates in the fast orbit
-    for i in range(0, len(slow), 37):
-        fast.locate(slow.reps[i])
-    # identical partition data for a quotient + left-orbit pass
+    # the same points in the same order, and the same quotient and left labels
     from parahoric.concave import generated_function, pseudo_borel_function
     from parahoric.groups.subgroups import subgroup_gens
 
+    g = build_group(*args)
+    fast = compiled.FlagOrbit(g.n, g.mod, g.p, g.flag_k)
+    slow = kpy.FlagOrbit(g.n, g.mod, g.p, g.flag_k)
+    assert fast.build(g.gens(), max_points=10**5) == slow.build(g.gens(), max_points=10**5)
+    assert list(fast.reps) == slow.reps
     fb = pseudo_borel_function(g.rs, g.h)
     fd = generated_function(fb, set(g.rs.neg_simples))
     extra = [
@@ -85,11 +89,10 @@ def test_flag_orbits_match(compiled, args):
         if fd[a] < g.h
     ]
     qf = fast.quotient(extra)
-    qs = slow.quotient(extra)
-    assert len(set(qf)) == len(set(qs))
-    lf = fast.left_orbit_labels(subgroup_gens(g, fb), qf)
-    ls = slow.left_orbit_labels(subgroup_gens(g, fb), qs)
-    assert len(set(lf)) == len(set(ls))
+    assert qf == slow.quotient(extra)
+    left = subgroup_gens(g, fb)
+    assert fast.left_orbit_labels(left, qf) == slow.left_orbit_labels(left, qf)
+    assert fast.left_orbit_labels(left, array("i", qf)) == slow.left_orbit_labels(left, qf)
 
 
 def test_flag_key_consistency(compiled):
@@ -149,16 +152,39 @@ def test_in_range_instances_use_loaded_kernel():
         assert build_group(*args).describe()["kernel"] == kernels.IMPLEMENTATION
 
 
-def test_generated_cpp_matches_pyx():
-    # every source line Cython quoted into _kernels.cpp is that line of _kernels.pyx
-    pyx = (GROUPS / "_kernels.pyx").read_text().splitlines()
-    cpp = (GROUPS / "_kernels.cpp").read_text()
-    marker = "             # <<<<<<<<<<<<<<"
-    blocks = re.findall(r'/\* "parahoric/groups/_kernels\.pyx":(\d+)\n(.*?)\*/', cpp, re.S)
-    assert len(blocks) > 300
-    for line, block in blocks:
-        quoted = [row for row in block.splitlines() if row.endswith(marker)]
-        assert len(quoted) == 1, f"_kernels.cpp block for line {line} has no marked line"
-        assert quoted[0][len(" * "):-len(marker)] == pyx[int(line) - 1].rstrip(), (
-            f"_kernels.cpp is stale at _kernels.pyx:{line}; regenerate it with Cython"
-        )
+def test_flags_outside_the_orbit_raise_key_error(kernel):
+    # the B-orbit of the standard flag of SL3(Z/25) is that one point;
+    # u_{-a}(1) moves the flag off it
+    from parahoric.concave import pseudo_borel_function
+    from parahoric.groups.subgroups import subgroup_gens
+
+    g = build_group("A2", "sc", 5, 2)
+    orbit = kernel.FlagOrbit(g.n, g.mod, g.p, g.flag_k)
+    assert orbit.build(subgroup_gens(g, pseudo_borel_function(g.rs, g.h)), max_points=10) == 1
+    lower = g.u(g.rs.neg_simples[0], 1)
+    for _ in range(2):  # a failed lookup adds no point
+        with pytest.raises(KeyError):
+            orbit.locate(lower)
+        with pytest.raises(KeyError):
+            orbit.apply_left(lower, 0)
+        with pytest.raises(KeyError):
+            orbit.apply_right(0, lower)
+    assert len(orbit) == 1
+    assert orbit.locate(g.identity) == 0
+
+
+def test_reps_is_a_sequence(kernel):
+    g = build_group("A1", "sc", 3, 2)  # SL2(Z/9): 12 points
+    orbit = kernel.FlagOrbit(g.n, g.mod, g.p, g.flag_k)
+    orbit.build(g.gens(), max_points=100)
+    reps = orbit.reps
+    listed = list(reps)
+    assert len(reps) == len(listed) == 12
+    assert [reps[i] for i in range(12)] == listed
+    assert reps[-1] == listed[11] and reps[-12] == listed[0]
+    assert all(0 <= x < g.mod for rep in listed for x in rep)
+    for i in (12, -13):
+        with pytest.raises(IndexError):
+            reps[i]
+        with pytest.raises(IndexError):
+            orbit.apply_left(g.identity, i)
