@@ -1,10 +1,13 @@
 """The package's one orbit walk and its one budget refusal.
 
 Every enumeration that closes a set under a rule (root reflections, graph
-edges, group generators, left and right multiplication) goes through
-`closure`, and every enumeration that would outgrow its budget raises
-`BudgetExceeded` instead of thrashing.  The flag-orbit kernels keep their
-own loop, but raise this same class.
+edges, group generators, left and right multiplication, base fibres and left
+orbits on fibres in the Python flag kernel) goes through `closure`, and every
+enumeration that would outgrow its budget raises `BudgetExceeded` instead of
+thrashing.  Two walks keep their own loop but raise this same class: the
+flag-orbit build of the Python kernel, which numbers points as it finds
+them, and the compiled kernel, whose points live in C++ and whose build,
+base fibres and left orbits all run through one loop.
 """
 
 from __future__ import annotations

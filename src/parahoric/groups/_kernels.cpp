@@ -14,7 +14,6 @@
 #include <array>
 #include <climits>
 #include <cstdint>
-#include <numeric>
 #include <tuple>
 #include <unordered_map>
 #include <utility>
@@ -232,57 +231,35 @@ bool read_gens(const FlagOrbit* o, PyObject* gens, std::vector<Mat>& out) {
     return ok;
 }
 
-int64_t find(std::vector<int64_t>& parent, int64_t i) {
-    while (parent[i] != i) {
-        parent[i] = parent[parent[i]];
-        i = parent[i];
+PyObject* to_list(const std::vector<int64_t>& vals) {
+    PyObject* out = PyList_New(static_cast<Py_ssize_t>(vals.size()));
+    for (size_t i = 0; out && i < vals.size(); ++i) {
+        PyObject* v = PyLong_FromLongLong(vals[i]);
+        if (!v) Py_CLEAR(out);
+        else PyList_SET_ITEM(out, i, v);
     }
-    return i;
+    return out;
 }
 
-// The union-find pass behind quotient and left_orbit_labels.  labels gives
-// each point's class as a point index (None: its own); the first point i of
-// each class is joined to the class of reps[i] * x (right) or x * reps[i]
-// (left) for each x in gens.  Returns the per-point root labels as a list.
-PyObject* merge_pass(FlagOrbit* self, PyObject* gens, PyObject* labels, bool right) {
-    std::vector<Mat> xs;
-    if (!read_gens(self, gens, xs)) return nullptr;
-    int64_t size = orbit_len(self);
-    std::vector<int64_t> labs;  // empty for labels None
-    for (int64_t i = 0; labels != Py_None && i < size; ++i) {
-        PyObject* item = PySequence_GetItem(labels, i);  // one at a time: no list copy
-        labs.push_back(item ? PyLong_AsLongLong(item) : -1);
-        Py_XDECREF(item);
-        if (labs[i] == -1 && PyErr_Occurred()) return nullptr;
-        if (labs[i] < 0 || labs[i] >= size)
-            return PyErr_Format(PyExc_ValueError, "labels must be point indices");
-    }
-    auto label = [&labs](int64_t i) { return labs.empty() ? i : labs[i]; };
-    std::vector<int64_t> parent(size);
-    std::iota(parent.begin(), parent.end(), 0);
-    std::vector<char> seen(size, 0);
+// The one breadth-first walk, behind build, quotient and left_orbit_labels:
+// extends `order` (seeded by the caller) by the points reached from it by
+// left multiplication by gens.  reach(mat) is given each product and returns
+// the point to walk on from if it is new to the walk, -1 if it is not, or -2
+// with an exception set.
+template <class Reach>
+bool left_walk(const FlagOrbit* o, const std::vector<Mat>& gens, std::vector<int64_t>& order,
+               Reach reach) {
     Mat cur, out;
-    for (int64_t i = 0; i < size; ++i) {
-        int64_t c = label(i);
-        if (seen[c]) continue;
-        seen[c] = 1;
-        unpack_rep(self, i, cur);
-        for (const Mat& x : xs) {
-            if (right) mul_arr(cur.data(), x.data(), out.data(), self->n, self->mod);
-            else mul_arr(x.data(), cur.data(), out.data(), self->n, self->mod);
-            int64_t j = point_of(self, out.data());
-            if (j < 0) return nullptr;
-            int64_t ri = find(parent, c), rj = find(parent, label(j));
-            if (ri != rj) parent[ri] = rj;
+    for (size_t head = 0; head < order.size(); ++head) {
+        unpack_rep(o, order[head], cur);
+        for (const Mat& g : gens) {
+            mul_arr(g.data(), cur.data(), out.data(), o->n, o->mod);
+            int64_t t = reach(out);
+            if (t == -2) return false;
+            if (t >= 0) order.push_back(t);
         }
     }
-    PyObject* result = PyList_New(size);
-    for (int64_t i = 0; result && i < size; ++i) {
-        PyObject* v = PyLong_FromLongLong(find(parent, label(i)));
-        if (!v) Py_CLEAR(result);
-        else PyList_SET_ITEM(result, i, v);
-    }
-    return result;
+    return true;
 }
 
 PyObject* orbit_new(PyTypeObject* type, PyObject*, PyObject*) {
@@ -333,26 +310,23 @@ PyObject* orbit_build(FlagOrbit* self, PyObject* args, PyObject* kwds) {
     auto& index = self->pts->index;
     reps.clear();
     index.clear();
-    Mat cur{}, out{};
-    for (int i = 0; i < n; ++i) cur[i * (n + 1)] = 1;
+    Mat ident{};
+    for (int i = 0; i < n; ++i) ident[i * (n + 1)] = 1;
     uint64_t word;
-    if (!flag_of(self, cur.data(), &word)) return nullptr;
-    reps.push_back(pack(self, cur.data(), n2));
+    if (!flag_of(self, ident.data(), &word)) return nullptr;
+    reps.push_back(pack(self, ident.data(), n2));
     index[word] = 0;
-    for (size_t head = 0; head < reps.size(); ++head) {
-        unpack_rep(self, static_cast<int64_t>(head), cur);
-        for (const Mat& g : gmats) {
-            mul_arr(g.data(), cur.data(), out.data(), n, self->mod);
-            if (!flag_of(self, out.data(), &word)) return nullptr;
-            if (index.find(word) == index.end()) {
-                index.emplace(word, static_cast<int64_t>(reps.size()));
-                reps.push_back(pack(self, out.data(), n2));
-                if (static_cast<long long>(reps.size()) > limit)
-                    return PyErr_Format(budget_exceeded, "flag orbit exceeded %lld points", limit);
-            }
-        }
-    }
-    return PyLong_FromSize_t(reps.size());
+    std::vector<int64_t> order{0};
+    bool ok = left_walk(self, gmats, order, [&](const Mat& m) -> int64_t {
+        if (!flag_of(self, m.data(), &word)) return -2;
+        auto added = index.try_emplace(word, static_cast<int64_t>(reps.size()));
+        if (!added.second) return -1;
+        reps.push_back(pack(self, m.data(), n2));
+        if (static_cast<long long>(reps.size()) <= limit) return added.first->second;
+        PyErr_Format(budget_exceeded, "flag orbit exceeded %lld points", limit);
+        return -2;
+    });
+    return ok ? PyLong_FromSize_t(reps.size()) : nullptr;
 }
 
 PyObject* orbit_locate(FlagOrbit* self, PyObject* const* args, Py_ssize_t nargs) {
@@ -383,22 +357,80 @@ PyObject* orbit_apply(FlagOrbit* self, PyObject* const* args, Py_ssize_t nargs) 
     return j < 0 ? nullptr : PyLong_FromLongLong(j);
 }
 
-// Per-point labels of the fibers over G/L', L' = <stabilizer, right_gens>.
+// Per-point labels of the fibers of G/B -> G/P, P = <gens> containing the
+// stabilizer: the fiber of point i is reps[i] * F, F the left orbit of point
+// 0 under gens, labelled by its least point.  Two translates that meet raise
+// ValueError: then <gens> does not contain the stabilizer.
 PyObject* orbit_quotient(FlagOrbit* self, PyObject* gens) {
-    return merge_pass(self, gens, Py_None, true);
+    if (!orbit_len(self)) return PyErr_Format(PyExc_IndexError, "point index out of range");
+    std::vector<Mat> xs;
+    std::vector<int64_t> labels(orbit_len(self), -1), fibre{0};
+    labels[0] = 0;
+    // the point of m, given label lab if it had none; -1 if it had one, -2 on error
+    auto claim = [&](const Mat& m, int64_t lab) -> int64_t {
+        int64_t j = point_of(self, m.data());
+        if (j < 0) return -2;
+        if (labels[j] >= 0) return -1;
+        labels[j] = lab;
+        return j;
+    };
+    if (!read_gens(self, gens, xs) ||
+        !left_walk(self, xs, fibre, [&](const Mat& m) { return claim(m, 0); }))
+        return nullptr;
+    Mat cur, f, out;
+    for (int64_t i = 1; i < orbit_len(self); ++i) {
+        if (labels[i] >= 0) continue;
+        unpack_rep(self, i, cur);
+        for (int64_t j : fibre) {
+            unpack_rep(self, j, f);
+            mul_arr(cur.data(), f.data(), out.data(), self->n, self->mod);
+            int64_t t = claim(out, i);
+            if (t == -2) return nullptr;
+            if (t == -1)
+                return PyErr_Format(PyExc_ValueError, "translates of the base fiber meet: "
+                                    "<gens> does not contain the stabilizer");
+        }
+    }
+    return to_list(labels);
 }
 
-// Per-point labels of the left-subgroup orbits on the fibers given by labels
-// (default: every point its own fiber).  The left action is well defined on
-// fibers, so one point per fiber drives the merge.
-PyObject* orbit_left_orbit_labels(FlagOrbit* self, PyObject* args, PyObject* kwds) {
-    static const char* kwlist[] = {"left_gens", "labels", nullptr};
-    PyObject* gens;
-    PyObject* labels = Py_None;
-    if (!PyArg_ParseTupleAndKeywords(args, kwds, "O|O", const_cast<char**>(kwlist), &gens,
-                                     &labels))
+// Per-point labels of the left-subgroup orbits on the fibers that labels
+// gives, each label a point of its own fiber.  The left action is well
+// defined on fibers, so one walk from each orbit's least fiber label moves
+// label points by gens, and the orbit is labelled by that least label.
+PyObject* orbit_left_orbit_labels(FlagOrbit* self, PyObject* const* args, Py_ssize_t nargs) {
+    std::vector<Mat> xs;
+    if (!parse_args("left_orbit_labels", args, nargs, 2, 2, nullptr) ||
+        !read_gens(self, args[0], xs))
         return nullptr;
-    return merge_pass(self, gens, labels, false);
+    int64_t size = orbit_len(self);
+    std::vector<int64_t> labs, merged(size, -1), order;
+    for (int64_t i = 0; i < size; ++i) {
+        PyObject* item = PySequence_GetItem(args[1], i);  // one at a time: no list copy
+        labs.push_back(item ? PyLong_AsLongLong(item) : -1);
+        Py_XDECREF(item);
+        if (labs[i] == -1 && PyErr_Occurred()) return nullptr;
+        if (labs[i] < 0 || labs[i] >= size)
+            return PyErr_Format(PyExc_ValueError, "labels must be point indices");
+    }
+    for (int64_t c : labs)
+        if (labs[c] != c) return PyErr_Format(PyExc_ValueError, "a label is not in its own fiber");
+    for (int64_t c = 0; c < size; ++c) {
+        if (labs[c] != c || merged[c] >= 0) continue;
+        merged[c] = c;
+        order.assign(1, c);
+        bool ok = left_walk(self, xs, order, [&](const Mat& m) -> int64_t {
+            int64_t j = point_of(self, m.data());
+            if (j < 0) return -2;
+            int64_t d = labs[j];
+            if (merged[d] >= 0) return -1;
+            merged[d] = c;
+            return d;
+        });
+        if (!ok) return nullptr;
+    }
+    for (int64_t& c : labs) c = merged[c];
+    return to_list(labs);
 }
 
 // reps: a read-only sequence view of the representative matrices.  Indexing
@@ -444,9 +476,9 @@ PyMethodDef orbit_methods[] = {
     {"locate", FN(orbit_locate), METH_FASTCALL, "locate(mat) -> point of mat's flag"},
     {"apply_left", FN(orbit_apply<false>), METH_FASTCALL, "apply_left(s, i) -> point of s*reps[i]"},
     {"apply_right", FN(orbit_apply<true>), METH_FASTCALL, "apply_right(i, x) -> point of reps[i]*x"},
-    {"quotient", FN(orbit_quotient), METH_O, "quotient(right_gens) -> fiber label per point"},
-    {"left_orbit_labels", FN(orbit_left_orbit_labels), METH_VARARGS | METH_KEYWORDS,
-     "left_orbit_labels(left_gens, labels=None) -> left-orbit label per point"},
+    {"quotient", FN(orbit_quotient), METH_O, "quotient(gens) -> fiber label per point"},
+    {"left_orbit_labels", FN(orbit_left_orbit_labels), METH_FASTCALL,
+     "left_orbit_labels(left_gens, labels) -> left-orbit label per point"},
     {nullptr, nullptr, 0, nullptr},
 };
 

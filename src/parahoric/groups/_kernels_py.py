@@ -10,7 +10,7 @@ module is the reference the differential tests compare it against.
 
 from __future__ import annotations
 
-from ..closure import BudgetExceeded  # re-exported: the compiled twin raises it too
+from ..closure import BudgetExceeded, closure  # the compiled twin raises BudgetExceeded too
 
 IMPLEMENTATION = "python"
 
@@ -88,8 +88,8 @@ class FlagOrbit:
 
     Points are flags; point i stores a representative matrix reps[i] with
     reps[i] * base-flag = point.  quotient() computes the fibers of the map
-    onto G/L' for a right subgroup L' containing the stabilizer, and
-    left_orbit_labels() the orbits of a left subgroup on those fibers.
+    onto G/P for a subgroup P containing the stabilizer, as translates of the
+    base fiber, and left_orbit_labels() the orbits of a left subgroup on them.
     """
 
     def __init__(self, n: int, mod: int, p: int, k: int):
@@ -105,22 +105,15 @@ class FlagOrbit:
         ident = mat_identity(n)
         self.reps = [ident]
         self.index = {flag_key(ident, n, mod, p, k): 0}
-        frontier = [ident]
-        while frontier:
-            nxt = []
-            for g in frontier:
-                for s in gens:
-                    hmat = mat_mul(s, g, n, mod)
-                    key = flag_key(hmat, n, mod, p, k)
-                    if key not in self.index:
-                        self.index[key] = len(self.reps)
-                        self.reps.append(hmat)
-                        if len(self.reps) > max_points:
-                            raise BudgetExceeded(
-                                f"flag orbit exceeded {max_points} points"
-                            )
-                        nxt.append(hmat)
-            frontier = nxt
+        for g in self.reps:  # the list is the breadth-first queue: it grows as it is walked
+            for s in gens:
+                hmat = mat_mul(s, g, n, mod)
+                key = flag_key(hmat, n, mod, p, k)
+                if key not in self.index:
+                    self.index[key] = len(self.reps)
+                    self.reps.append(hmat)
+                    if len(self.reps) > max_points:
+                        raise BudgetExceeded(f"flag orbit exceeded {max_points} points")
         return len(self.reps)
 
     def __len__(self) -> int:
@@ -135,50 +128,39 @@ class FlagOrbit:
     def apply_right(self, i: int, x) -> int:
         return self.locate(mat_mul(self.reps[i], x, self.n, self.mod))
 
-    def quotient(self, right_gens) -> list[int]:
-        """Per-point labels of the fibers over G/L', L' = <stabilizer, right_gens>."""
-        parent = list(range(len(self.reps)))
-
-        def find(i):
-            while parent[i] != i:
-                parent[i] = parent[parent[i]]
-                i = parent[i]
-            return i
-
-        for i in range(len(self.reps)):
-            for x in right_gens:
-                j = self.apply_right(i, x)
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[ri] = rj
-        return [find(i) for i in range(len(self.reps))]
-
-    def left_orbit_labels(self, left_gens, labels: list[int] | None = None) -> list[int]:
-        """Per-point labels of the left-subgroup orbits on the given fibers.
-
-        The left action is well defined on fibers, so one point per fiber
-        is enough to drive the merge.
+    def quotient(self, gens) -> list[int]:
+        """Per-point labels of the fibers of G/B -> G/P, P = <gens> containing
+        the stabilizer: the fiber of point i is reps[i] * F, F the left orbit
+        of point 0 under gens, labelled by its least point.  Two translates
+        that meet raise ValueError: then <gens> does not contain the stabilizer.
         """
-        if labels is None:
-            labels = list(range(len(self.reps)))
-        parent: dict[int, int] = {}
-
-        def find(i):
-            parent.setdefault(i, i)
-            while parent[i] != i:
-                parent[i] = parent[parent[i]]
-                i = parent[i]
-            return i
-
-        seen: set[int] = set()
+        fibre = closure([0], lambda j: [self.apply_left(s, j) for s in gens])
+        labels = [-1] * len(self.reps)
         for i in range(len(self.reps)):
-            c = labels[i]
-            if c in seen:
-                continue
-            seen.add(c)
-            for s in left_gens:
-                j = self.apply_left(s, i)
-                ri, rj = find(c), find(labels[j])
-                if ri != rj:
-                    parent[ri] = rj
-        return [find(labels[i]) for i in range(len(self.reps))]
+            if labels[i] < 0:
+                for j in fibre:
+                    t = self.apply_right(i, self.reps[j])
+                    if labels[t] >= 0:
+                        raise ValueError("translates of the base fiber meet: "
+                                         "<gens> does not contain the stabilizer")
+                    labels[t] = i
+        return labels
+
+    def left_orbit_labels(self, left_gens, labels) -> list[int]:
+        """Per-point labels of the left-subgroup orbits on the fibers that
+        labels gives, each label a point of its own fiber.
+
+        The left action is well defined on fibers, so one closure from each
+        orbit's least fiber label moves label points by left_gens, and the
+        orbit is labelled by that least label.
+        """
+        if any(not 0 <= c < len(self.reps) for c in labels):
+            raise ValueError("labels must be point indices")
+        if any(labels[c] != c for c in labels):
+            raise ValueError("a label is not in its own fiber")
+        merged: dict[int, int] = {}
+        for c in range(len(self.reps)):
+            if labels[c] == c and c not in merged:
+                orbit = closure([c], lambda d: [labels[self.apply_left(s, d)] for s in left_gens])
+                merged.update(dict.fromkeys(orbit, c))
+        return [merged[c] for c in labels]

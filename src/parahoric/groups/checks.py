@@ -7,11 +7,10 @@ see what was checked; none of them assume what they verify.
 from __future__ import annotations
 
 from ..concave import ConcaveFunction, generated_function, pseudo_borel_function
-from ..closure import closure
 from ..root_system import Coeffs, positive_systems, serialize_roots
 from .cosets import FlagSpace
 from .group import FiniteParahoricGroup, Mat, ProductGroup
-from .subgroups import mulclose, ru_borel_gens, subgroup_gens
+from .subgroups import double_class, mulclose, ru_borel_gens, subgroup_gens
 
 
 def lu_factor(g: FiniteParahoricGroup, m: Mat):
@@ -207,15 +206,6 @@ def _wedge_coeffs(rs, a: Coeffs, b: Coeffs, gamma: Coeffs) -> tuple[int, int]:
     raise AssertionError(f"{gamma} is not in the wedge of {a}, {b}")
 
 
-def _orbit(g, start: Mat, left_gens, right_gens, cap: int = 10**6) -> set[Mat]:
-    """The (left, right) double class of start; BudgetExceeded past cap elements."""
-    return closure(
-        [start],
-        lambda x: [g.mul(s, x) for s in left_gens] + [g.mul(x, s) for s in right_gens],
-        cap,
-    )
-
-
 def verify_rank1_classes(g: FiniteParahoricGroup) -> dict:
     """The two rank-1 double-class statements, checked exhaustively.
 
@@ -241,7 +231,7 @@ def verify_rank1_classes(g: FiniteParahoricGroup) -> dict:
     # (a) the big Bruhat cell is one (U, B) class: the class of w must be
     # stable under B0 on both sides
     w = g.weyl_rep(alpha)
-    cell_class = _orbit(g, w, u_gens, b_gens)
+    cell_class = double_class(g, w, u_gens, b_gens)
     for x in cell_class:
         if any(
             g.mul(s, x) not in cell_class or g.mul(x, s) not in cell_class
@@ -261,7 +251,7 @@ def verify_rank1_classes(g: FiniteParahoricGroup) -> dict:
                     found = rep
                     break
             if found is None:
-                classes[u] = _orbit(g, u, u_gens, b_gens)
+                classes[u] = double_class(g, u, u_gens, b_gens)
         for u in members:
             for v in members:
                 same = any(u in cls and v in cls for cls in classes.values())
@@ -275,7 +265,7 @@ def verify_rank1_classes(g: FiniteParahoricGroup) -> dict:
     reps: list[tuple[Mat, set]] = []
     for u in members:
         if not any(u in cls for _, cls in reps):
-            reps.append((u, _orbit(g, u, b_gens, b_gens)))
+            reps.append((u, double_class(g, u, b_gens, b_gens)))
     for u in members:
         for v in members:
             same = any(u in cls and v in cls for _, cls in reps)
@@ -386,7 +376,7 @@ def verify_product_representatives(factors, f_values, budget: int = 10**6) -> di
         for x in candidates:
             if x in seen:
                 continue
-            cls = _orbit(fac, x, fac_u, fac_b)
+            cls = double_class(fac, x, fac_u, fac_b)
             seen |= cls
             reps.append(x)
         sub = mulclose(fac, subgroup_gens(fac, fi), maxsize=budget)
@@ -400,7 +390,7 @@ def verify_product_representatives(factors, f_values, budget: int = 10**6) -> di
     for x in sorted(pf_elements):
         if x in seen:
             continue
-        cls = _orbit(pg, x, u_gens, b_gens)
+        cls = double_class(pg, x, u_gens, b_gens)
         seen |= cls
         classes.append(cls)
     products = []
@@ -444,7 +434,7 @@ def verify_overgroup_classification(g: FiniteParahoricGroup,
     for x in sorted(elements):
         if x in seen:
             continue
-        cls = _orbit(g, x, b_gens, b_gens)
+        cls = double_class(g, x, b_gens, b_gens)
         seen |= cls
         reps.append(x)
     gen_lists: dict[frozenset, list] = {b_set: list(b_gens)}

@@ -1,11 +1,11 @@
 """Coset spaces and double-coset counting via the flag orbit.
 
 The pseudo-Borel B is the stabilizer of the standard flag, so G/B is the
-orbit of that flag.  For a right subgroup L' containing B, the fibers of
-G/B -> G/L' are computed by saturating points under right multiplication
-by generators of L'; double cosets L\\G/L' are then left orbits on fibers.
-A fully element-level partition of G doubles as an independent oracle on
-enumerable instances.
+orbit of that flag.  For a subgroup P containing B, the fiber of
+G/B -> G/P over gP is the translate g * F of the base fiber F = P/B, the
+left orbit of the standard flag under P; double cosets L\\G/P are then
+left orbits on fibers.  A fully element-level partition of G doubles as an
+independent oracle on enumerable instances.
 """
 
 from __future__ import annotations
@@ -13,10 +13,10 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 
-from ..concave import ConcaveFunction
+from ..concave import ConcaveFunction, pseudo_borel_function
 from .group import FiniteParahoricGroup, Mat
 from .kernels import BudgetExceeded, FlagOrbit
-from .subgroups import Subgroup, solvable_order
+from .subgroups import Subgroup, double_class, solvable_order, subgroup_gens
 
 DEFAULT_COSET_BUDGET = 10**5
 DEFAULT_ELEMENT_BUDGET = 10**6
@@ -27,25 +27,25 @@ class FlagSpace:
 
     def __init__(self, g: FiniteParahoricGroup, budget: int = DEFAULT_COSET_BUDGET):
         self.group = g
+        expected, rem = divmod(g.order(), solvable_order(g, pseudo_borel_function(g.rs, g.h)))
+        if expected > budget:
+            raise BudgetExceeded(
+                f"|G/B| = {expected} exceeds the coset budget {budget} (--budget-cosets)"
+            )
         self.orbit = FlagOrbit(g.n, g.mod, g.p, g.flag_k)
         self.orbit.build(g.gens(), max_points=budget)
         self._quotients: dict[tuple, array] = {}
-        expected, rem = divmod(g.order(), self._borel_order())
         if rem or expected != len(self.orbit):
             raise AssertionError(
                 f"flag orbit has {len(self.orbit)} points, |G|/|B| = {expected}"
             )
 
-    def _borel_order(self) -> int:
-        from ..concave import pseudo_borel_function
-
-        return solvable_order(self.group, pseudo_borel_function(self.group.rs, self.group.h))
-
     def __len__(self) -> int:
         return len(self.orbit)
 
     def quotient_labels(self, f: ConcaveFunction) -> array:
-        """Fiber labels of G/B -> G/P_f; requires f = 0 on the positive system.
+        """Fiber labels of G/B -> G/P_f, each fiber labelled by its least
+        point (so the base fiber by 0); requires f = 0 on the positive system.
 
         Each labelling is cached as a C-int array: 4 bytes a point, instead
         of a list of Python ints.
@@ -54,12 +54,8 @@ class FlagSpace:
             raise ValueError("right subgroup must contain the standard pseudo-Borel")
         key = f.values
         if key not in self._quotients:
-            extra = [
-                self.group.u(a, self.group.p ** f[a])
-                for a in sorted(self.group.rs.negative_roots)
-                if f[a] < self.group.h
-            ]
-            self._quotients[key] = array("i", self.orbit.quotient(extra))
+            gens = subgroup_gens(self.group, f)
+            self._quotients[key] = array("i", self.orbit.quotient(gens))
         return self._quotients[key]
 
     def coset_count(self, f: ConcaveFunction) -> int:
@@ -67,13 +63,12 @@ class FlagSpace:
 
     def base_fibre(self, f: ConcaveFunction) -> set[int]:
         """The points of P_f/B: the fiber of G/B -> G/P_f over the base point."""
-        labels = self.quotient_labels(f)
-        return {i for i, lab in enumerate(labels) if lab == labels[0]}
+        return {i for i, lab in enumerate(self.quotient_labels(f)) if lab == 0}
 
     def contains(self, f: ConcaveFunction, mat) -> bool:
         """Membership of a group element in P_f (for f containing B):
         g is in P_f iff the flag gB lies in the fiber of the base point."""
-        return self.orbit.locate(mat) in self.base_fibre(f)
+        return self.quotient_labels(f)[self.orbit.locate(mat)] == 0
 
 
 @dataclass
@@ -106,27 +101,14 @@ def double_cosets_flags(flags: FlagSpace, left_gens: list[Mat],
 
 def brute_force_double_cosets(group, elements: set, left_gens, right_gens) -> int:
     """Element-level partition of an enumerated group: the independent oracle."""
-    index = {g: i for i, g in enumerate(sorted(elements))}
-    order = sorted(elements)
-    parent = list(range(len(order)))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    def union(i, j):
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[ri] = rj
-
-    for g, i in index.items():
-        for s in left_gens:
-            union(i, index[group.mul(s, g)])
-        for x in right_gens:
-            union(i, index[group.mul(g, x)])
-    return len({find(i) for i in range(len(order))})
+    rest, count = set(elements), 0
+    while rest:
+        cls = double_class(group, next(iter(rest)), left_gens, right_gens, cap=len(elements))
+        if not cls <= rest:
+            raise ValueError("the elements are not closed under the generators")
+        rest -= cls
+        count += 1
+    return count
 
 
 def double_cosets(g: FiniteParahoricGroup, left: Subgroup, right: Subgroup,

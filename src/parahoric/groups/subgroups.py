@@ -13,6 +13,15 @@ def mulclose(group, gens, maxsize: int | None = None) -> set:
     return closure([identity], lambda b: [group.mul(a, b) for a in gens], maxsize or None)
 
 
+def double_class(group, start: Mat, left_gens, right_gens, cap: int = 10**6) -> set[Mat]:
+    """The (left, right) double class of start; BudgetExceeded past cap elements."""
+    return closure(
+        [start],
+        lambda x: [group.mul(s, x) for s in left_gens] + [group.mul(x, s) for s in right_gens],
+        cap,
+    )
+
+
 class Subgroup:
     """A subgroup given by generators, optionally backed by a concave function."""
 

@@ -31,6 +31,11 @@ def sl2_25():
 
 
 @pytest.fixture(scope="session")
+def flags_sl2_25(sl2_25):
+    return FlagSpace(sl2_25)
+
+
+@pytest.fixture(scope="session")
 def flags_sl2_9(sl2_9):
     return FlagSpace(sl2_9)
 
@@ -58,6 +63,16 @@ def sl3_25():
 @pytest.fixture(scope="session")
 def flags_sl3_25(sl3_25):
     return FlagSpace(sl3_25)
+
+
+@pytest.fixture(scope="session")
+def sl3_27():
+    return build_group("A2", "sc", 3, 3)
+
+
+@pytest.fixture(scope="session")
+def flags_sl3_27(sl3_27):
+    return FlagSpace(sl3_27)
 
 
 @pytest.fixture(scope="session")

@@ -132,7 +132,8 @@ def test_verify_reports_skipped_checks():
 def test_verify_reports_budget_refusal():
     proc = run_cli(["verify", "--type", "A1", "-p", "3", "-h", "2", "--budget-cosets", "5"])
     assert proc.returncode == 1
-    assert "REFUSED  flag_space: flag orbit exceeded 5 points" in proc.stderr
+    assert ("REFUSED  flag_space: |G/B| = 12 exceeds the coset budget 5 (--budget-cosets)"
+            in proc.stderr)
     # a refusal alone fails the run, even when every check that ran passed
     proc = run_cli(["verify", "--type", "A1", "--isogeny", "adjoint", "-p", "3", "-h", "2",
                     "--budget-cosets", "5", "--format", "json"])
@@ -142,7 +143,8 @@ def test_verify_reports_budget_refusal():
     assert [(c["name"], c["status"]) for c in payload["checks"] if c["status"] != "pass"] == [
         ("flag_space", "refused")
     ]
-    assert payload["checks"][-1]["reason"] == "flag orbit exceeded 5 points"
+    assert payload["checks"][-1]["reason"] == (
+        "|G/B| = 12 exceeds the coset budget 5 (--budget-cosets)")
 
 
 def test_verify_sc_a1_p3_json():

@@ -5,14 +5,15 @@ from collections import Counter
 
 import pytest
 
+from parahoric.closure import closure
 from parahoric.concave import (
     ConcaveFunction,
+    enumerate_overgroups,
     generated_function,
     minimal_overgroup,
     pseudo_borel_function,
 )
 from parahoric.groups.checks import (
-    _orbit,
     lu_factor,
     verify_exterior_class_absorption,
     verify_product_representatives,
@@ -35,6 +36,7 @@ from parahoric.groups.kernels import BudgetExceeded
 from parahoric.groups.subgroups import (
     Subgroup,
     borel,
+    double_class,
     mulclose,
     subgroup_from_concave,
     subgroup_gens,
@@ -138,22 +140,32 @@ def test_flag_space_counts(flags_sl2_9, flags_pgl2_9, flags_sp4_9, flags_pgl3_25
     assert len(flags_pgl3_25) == 23250
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=AssertionError,
-    reason="FlagOrbit.quotient joins point i only to reps[i]*x for each right "
-    "generator x, so fibres of G/B -> G/P_f depend on the stored "
-    "representatives and some stay split: SL2(Z/25) with f(-a) = 1 gives "
-    "7 cosets, but [P_f:B] = 5 and |G/B| = 30, so the index is 6",
-)
-def test_coset_count_is_index_of_base_fibre(sl2_25):
-    flags = FlagSpace(sl2_25)
-    f = ConcaveFunction.make(sl2_25.rs, 2, {(1,): 0, (-1,): 1})
-    assert flags.coset_count(f) == len(flags) // len(flags.base_fibre(f))
+def _overgroup_cases():
+    """(group fixture, index into enumerate_overgroups) for every overgroup of
+    B in SL2(Z/25), Sp4(Z/9), PGL3(Z/25) and SL3(Z/27)."""
+    for name, dynkin, rank, h in [("sl2_25", "A", 1, 2), ("sp4_9", "C", 2, 2),
+                                  ("pgl3_25", "A", 2, 2), ("sl3_27", "A", 2, 3)]:
+        fb = pseudo_borel_function(build_root_system(dynkin, rank), h)
+        yield from ((name, k) for k in range(len(enumerate_overgroups(fb))))
+
+
+@pytest.mark.parametrize("group,k", list(_overgroup_cases()))
+def test_coset_count_is_index_of_base_fibre(request, group, k):
+    """[G : P_f] = |G/B| / |P_f/B|, with P_f/B the left orbit of the base flag
+    under P_f, and every fibre of G/B -> G/P_f has that size."""
+    g = request.getfixturevalue(group)
+    flags = request.getfixturevalue(f"flags_{group}")
+    f = enumerate_overgroups(pseudo_borel_function(g.rs, g.h))[k]
+    gens = subgroup_gens(g, f)
+    fibre = closure([0], lambda j: [flags.orbit.apply_left(s, j) for s in gens])
+    assert flags.coset_count(f) == len(flags) // len(fibre)
+    assert set(Counter(flags.quotient_labels(f)).values()) == {len(fibre)}
 
 
 def test_flag_budget_refusal(sp4_9):
-    with pytest.raises(BudgetExceeded):
+    # refused from |G|/|B| before the orbit is built, naming the CLI flag
+    with pytest.raises(BudgetExceeded, match=r"\|G/B\| = 12960 exceeds the coset budget 1000 "
+                       r"\(--budget-cosets\)"):
         FlagSpace(sp4_9, budget=1000)
 
 
@@ -163,7 +175,7 @@ def test_every_budget_refusal_is_budget_exceeded(sl2_9, sp4_9):
     with pytest.raises(BudgetExceeded):
         mulclose(sl2_9, sl2_9.gens(), maxsize=10)
     with pytest.raises(BudgetExceeded):
-        _orbit(sl2_9, sl2_9.identity, sl2_9.gens(), [], cap=10)
+        double_class(sl2_9, sl2_9.identity, sl2_9.gens(), [], cap=10)
     with pytest.raises(BudgetExceeded):
         positive_systems(build_root_system("A", 3), cap=10)
     with pytest.raises(BudgetExceeded):
@@ -253,8 +265,6 @@ def test_counts_independent_of_generating_description(sl2_9, flags_sl2_9):
 
 def test_inclusion_matches_pointwise_order():
     """f <= f' pointwise iff P_f contains P_f', across whole intervals."""
-    from parahoric.concave import enumerate_overgroups
-
     cases = [build_group("A1", "sc", 3, 3), build_group("A2", "sc", 3, 2)]
     for g in cases:
         fb = pseudo_borel_function(g.rs, g.h)

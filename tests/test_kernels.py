@@ -13,9 +13,12 @@ from pathlib import Path
 
 import pytest
 
+from parahoric.closure import closure
+from parahoric.concave import ConcaveFunction, enumerate_overgroups, pseudo_borel_function
 from parahoric.groups import _kernels_py as kpy
 from parahoric.groups import kernels
 from parahoric.groups.group import build_group
+from parahoric.groups.subgroups import subgroup_gens
 
 ROOT = Path(__file__).resolve().parents[1]
 CASES = [(2, 27, 3, 1), (3, 25, 5, 2), (3, 81, 3, 2), (4, 9, 3, 2), (2, 3**9, 3, 1)]
@@ -73,26 +76,54 @@ def test_mat_mul_matches(compiled, n, mod, p, k):
                                   ("A1", "sc", 3, 9)])
 def test_flag_orbits_match(compiled, args):
     # the same points in the same order, and the same quotient and left labels
-    from parahoric.concave import generated_function, pseudo_borel_function
-    from parahoric.groups.subgroups import subgroup_gens
-
+    # for every overgroup of B; each fibre is labelled by its least point
     g = build_group(*args)
     fast = compiled.FlagOrbit(g.n, g.mod, g.p, g.flag_k)
     slow = kpy.FlagOrbit(g.n, g.mod, g.p, g.flag_k)
     assert fast.build(g.gens(), max_points=10**5) == slow.build(g.gens(), max_points=10**5)
     assert list(fast.reps) == slow.reps
     fb = pseudo_borel_function(g.rs, g.h)
-    fd = generated_function(fb, set(g.rs.neg_simples))
-    extra = [
-        g.u(a, g.p ** fd[a])
-        for a in sorted(g.rs.negative_roots)
-        if fd[a] < g.h
-    ]
-    qf = fast.quotient(extra)
-    assert qf == slow.quotient(extra)
     left = subgroup_gens(g, fb)
-    assert fast.left_orbit_labels(left, qf) == slow.left_orbit_labels(left, qf)
-    assert fast.left_orbit_labels(left, array("i", qf)) == slow.left_orbit_labels(left, qf)
+    if g.h > 4:  # beyond enumerate_overgroups; for A1 the overgroups are f(-a) = 0..h
+        fs = [ConcaveFunction.make(g.rs, g.h, {(1,): 0, (-1,): k}) for k in range(g.h + 1)]
+    else:
+        fs = enumerate_overgroups(fb)
+    for f in fs:
+        qf = fast.quotient(subgroup_gens(g, f))
+        assert qf == slow.quotient(subgroup_gens(g, f))
+        least = {}
+        for i, c in enumerate(qf):
+            least.setdefault(c, i)
+        assert all(least[c] == c for c in least)
+        lf = slow.left_orbit_labels(left, qf)
+        assert fast.left_orbit_labels(left, qf) == lf
+        assert fast.left_orbit_labels(left, array("i", qf)) == lf
+
+
+def test_quotient_refuses_generators_without_the_stabilizer(kernel):
+    # SL2(Z/25): u_{-a}(1) alone moves the base flag through 25 of the 30
+    # points, but does not generate an overgroup of B, so its translates meet
+    g = build_group("A1", "sc", 5, 2)
+    orbit = kernel.FlagOrbit(g.n, g.mod, g.p, g.flag_k)
+    assert orbit.build(g.gens(), max_points=100) == 30
+    lower = [g.u((-1,), 1)]
+    assert len(closure([0], lambda j: [orbit.apply_left(s, j) for s in lower])) == 25
+    with pytest.raises(ValueError, match="translates of the base fiber meet"):
+        orbit.quotient(lower)
+    with pytest.raises(IndexError):  # no base point before the orbit is built
+        kernel.FlagOrbit(g.n, g.mod, g.p, g.flag_k).quotient(g.gens())
+
+
+def test_left_orbit_labels_refuses_bad_labels(kernel):
+    # a label must be a point index, and a point of its own fibre
+    g = build_group("A1", "sc", 3, 2)  # SL2(Z/9): 12 points
+    orbit = kernel.FlagOrbit(g.n, g.mod, g.p, g.flag_k)
+    orbit.build(g.gens(), max_points=100)
+    with pytest.raises(ValueError, match="point indices"):
+        orbit.left_orbit_labels(g.gens(), [12] * 12)
+    with pytest.raises(ValueError, match="own fiber"):
+        orbit.left_orbit_labels(g.gens(), [1, 0] + list(range(2, 12)))
+    assert orbit.left_orbit_labels(g.gens(), list(range(12))) == [0] * 12
 
 
 def test_flag_key_consistency(compiled):
@@ -155,9 +186,6 @@ def test_in_range_instances_use_loaded_kernel():
 def test_flags_outside_the_orbit_raise_key_error(kernel):
     # the B-orbit of the standard flag of SL3(Z/25) is that one point;
     # u_{-a}(1) moves the flag off it
-    from parahoric.concave import pseudo_borel_function
-    from parahoric.groups.subgroups import subgroup_gens
-
     g = build_group("A2", "sc", 5, 2)
     orbit = kernel.FlagOrbit(g.n, g.mod, g.p, g.flag_k)
     assert orbit.build(subgroup_gens(g, pseudo_borel_function(g.rs, g.h)), max_points=10) == 1
