@@ -1,13 +1,15 @@
-"""The package's one orbit walk and its one budget refusal.
+"""The package's one orbit walk, its one orbit partition and its one budget refusal.
 
 Every enumeration that closes a set under a rule (root reflections, graph
-edges, group generators, left and right multiplication, base fibres and left
-orbits on fibres in the Python flag kernel) goes through `closure`, and every
-enumeration that would outgrow its budget raises `BudgetExceeded` instead of
-thrashing.  Two walks keep their own loop but raise this same class: the
-flag-orbit build of the Python kernel, which numbers points as it finds
-them, and the compiled kernel, whose points live in C++ and whose build,
-base fibres and left orbits all run through one loop.
+edges, group generators, left and right multiplication, base fibres in the
+Python flag kernel) goes through `closure`.  Every partition of a set into
+orbits (double classes, torus orbits on characters, left orbits on fibres in
+the Python flag kernel) goes through `orbit_labels`, which walks each orbit
+with `closure`.  Every enumeration that would outgrow its budget raises
+`BudgetExceeded` instead of thrashing.  Two walks keep their own loop but
+raise this same class: the flag-orbit build of the Python kernel, which
+numbers points as it finds them, and the compiled kernel, whose points live
+in C++ and whose build, base fibres and left orbits all run through one loop.
 """
 
 from __future__ import annotations
@@ -42,3 +44,20 @@ def closure(seeds: Iterable[Hashable],
                         raise BudgetExceeded(f"closure exceeded {cap} elements")
         frontier = nxt
     return out
+
+
+def orbit_labels(items: Iterable[Hashable],
+                 neighbours: Callable[[Hashable], Iterable[Hashable]],
+                 cap: int | None = None) -> dict:
+    """Each item, and every element its closure reaches, mapped to the first
+    item of that closure, in the order of `items`.
+
+    Meant for the orbits of a finite group given by generators, whose
+    closures are disjoint: an item already reached starts no walk of its own.
+    `cap` bounds each closure as in `closure`.
+    """
+    labels: dict = {}
+    for x in items:
+        if x not in labels:
+            labels.update(dict.fromkeys(closure([x], neighbours, cap), x))
+    return labels

@@ -10,7 +10,8 @@ module is the reference the differential tests compare it against.
 
 from __future__ import annotations
 
-from ..closure import BudgetExceeded, closure  # the compiled twin raises BudgetExceeded too
+# the compiled twin raises the same BudgetExceeded
+from ..closure import BudgetExceeded, closure, orbit_labels
 
 IMPLEMENTATION = "python"
 
@@ -150,17 +151,14 @@ class FlagOrbit:
         """Per-point labels of the left-subgroup orbits on the fibers that
         labels gives, each label a point of its own fiber.
 
-        The left action is well defined on fibers, so one closure from each
-        orbit's least fiber label moves label points by left_gens, and the
-        orbit is labelled by that least label.
+        The left action is well defined on fibers, so `orbit_labels` walks
+        the fiber labels in increasing order, moving each by left_gens to the
+        label of its image, and each orbit is labelled by its least label.
         """
         if any(not 0 <= c < len(self.reps) for c in labels):
             raise ValueError("labels must be point indices")
         if any(labels[c] != c for c in labels):
             raise ValueError("a label is not in its own fiber")
-        merged: dict[int, int] = {}
-        for c in range(len(self.reps)):
-            if labels[c] == c and c not in merged:
-                orbit = closure([c], lambda d: [labels[self.apply_left(s, d)] for s in left_gens])
-                merged.update(dict.fromkeys(orbit, c))
-        return [merged[c] for c in labels]
+        orbit = orbit_labels(sorted(set(labels)),
+                             lambda d: [labels[self.apply_left(s, d)] for s in left_gens])
+        return [orbit[c] for c in labels]

@@ -6,11 +6,13 @@ see what was checked; none of them assume what they verify.
 
 from __future__ import annotations
 
+from collections import Counter
+
 from ..concave import ConcaveFunction, generated_function, pseudo_borel_function
 from ..root_system import Coeffs, positive_systems, serialize_roots
 from .cosets import FlagSpace
 from .group import FiniteParahoricGroup, Mat, ProductGroup
-from .subgroups import double_class, mulclose, ru_borel_gens, subgroup_gens
+from .subgroups import double_class, double_class_labels, mulclose, ru_borel_gens, subgroup_gens
 
 
 def lu_factor(g: FiniteParahoricGroup, m: Mat):
@@ -243,18 +245,10 @@ def verify_rank1_classes(g: FiniteParahoricGroup) -> dict:
     # (b) valuation-square classes inside B0
     for i in range(1, h):
         members = [g.u(nalpha, p**i * x % mod) for x in range(mod // p**i)]
-        classes = {}
-        for u in members:
-            found = None
-            for rep, cls in classes.items():
-                if u in cls:
-                    found = rep
-                    break
-            if found is None:
-                classes[u] = double_class(g, u, u_gens, b_gens)
+        labels = double_class_labels(g, members, u_gens, b_gens)
         for u in members:
             for v in members:
-                same = any(u in cls and v in cls for cls in classes.values())
+                same = labels[u] == labels[v]
                 xu, xv = g.u_param(u, nalpha), g.u_param(v, nalpha)
                 cond = (xv - xu) % mod % (p ** min(2 * i, h)) == 0
                 if same != cond:
@@ -262,13 +256,10 @@ def verify_rank1_classes(g: FiniteParahoricGroup) -> dict:
 
     # (c) full B-double-classes vs valuation
     members = [g.u(nalpha, x) for x in range(mod)]
-    reps: list[tuple[Mat, set]] = []
-    for u in members:
-        if not any(u in cls for _, cls in reps):
-            reps.append((u, double_class(g, u, b_gens, b_gens)))
+    labels = double_class_labels(g, members, b_gens, b_gens)
     for u in members:
         for v in members:
-            same = any(u in cls and v in cls for _, cls in reps)
+            same = labels[u] == labels[v]
             vu = g.valuation_int(g.u_param(u, nalpha))
             vv = g.valuation_int(g.u_param(v, nalpha))
             if same and vu != vv:
@@ -296,8 +287,8 @@ def verify_exterior_class_absorption(g: FiniteParahoricGroup, flags: FlagSpace |
     inside = flags.base_fibre(f_delta)
     results = {}
     for left_name, left_gens in (("B", b_gens), ("RuB", ru_borel_gens(g))):
-        fine = flags.orbit.left_orbit_labels(left_gens, flags.quotient_labels(fb))
-        coarse = flags.orbit.left_orbit_labels(left_gens, flags.quotient_labels(f_delta))
+        fine = flags.double_coset_labels(left_gens, fb)
+        coarse = flags.double_coset_labels(left_gens, f_delta)
         works: dict[int, set] = {}
         for c in set(fine):
             works[c] = set(delta)
@@ -369,38 +360,21 @@ def verify_product_representatives(factors, f_values, budget: int = 10**6) -> di
         ]
         if val == 0:
             candidates.append(fac.weyl_rep(alpha))
-        fac_u = [fac.u(alpha, 1)]
-        fac_b = subgroup_gens(fac, fb)
-        reps = []
-        seen: set = set()
-        for x in candidates:
-            if x in seen:
-                continue
-            cls = double_class(fac, x, fac_u, fac_b)
-            seen |= cls
-            reps.append(x)
+        labels = double_class_labels(fac, candidates, [fac.u(alpha, 1)], subgroup_gens(fac, fb))
         sub = mulclose(fac, subgroup_gens(fac, fi), maxsize=budget)
-        if not sub <= seen:
+        if not sub <= labels.keys():
             raise AssertionError("n*u candidates do not cover P_f cap P_i")
-        per_factor_reps.append(reps)
+        per_factor_reps.append(list(dict.fromkeys(labels.values())))
 
     pf_elements = mulclose(pg, all_gens_pf + b_gens, maxsize=budget)
-    seen: set = set()
-    classes = []
-    for x in sorted(pf_elements):
-        if x in seen:
-            continue
-        cls = double_class(pg, x, u_gens, b_gens)
-        seen |= cls
-        classes.append(cls)
+    labels = double_class_labels(pg, sorted(pf_elements), u_gens, b_gens)
+    classes = dict.fromkeys(labels.values())
     products = []
     for r1 in per_factor_reps[0]:
         for r2 in per_factor_reps[1]:
             products.append(pg.mul(pg.embed(0, r1), pg.embed(1, r2)))
-    hits = []
-    for cls in classes:
-        inside = [x for x in products if x in cls]
-        hits.append(len(inside))
+    per_class = Counter(labels.get(x) for x in products)
+    hits = [per_class[c] for c in classes]
     ok = all(hit == 1 for hit in hits) and len(products) == len(classes)
     return {
         "factors": [f.describe() for f in pg.factors],
@@ -429,16 +403,9 @@ def verify_overgroup_classification(g: FiniteParahoricGroup,
 
     # <B, x> only depends on the double coset B x B, so one representative
     # per class is enough to find every atom of the interval
-    reps = []
-    seen: set = set()
-    for x in sorted(elements):
-        if x in seen:
-            continue
-        cls = double_class(g, x, b_gens, b_gens)
-        seen |= cls
-        reps.append(x)
+    labels = double_class_labels(g, sorted(elements), b_gens, b_gens)
     gen_lists: dict[frozenset, list] = {b_set: list(b_gens)}
-    for x in reps:
+    for x in dict.fromkeys(labels.values()):
         if x in b_set:
             continue
         s = frozenset(mulclose(g, b_gens + [x], maxsize=budget))
@@ -458,8 +425,6 @@ def verify_overgroup_classification(g: FiniteParahoricGroup,
                 if joined not in gen_lists:
                     gen_lists[joined] = joined_gens
                     changed = True
-        if changed:
-            continue
     subgroups = set(gen_lists)
 
     matches = subgroups == set(concave_sets)

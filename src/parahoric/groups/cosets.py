@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from ..concave import ConcaveFunction, pseudo_borel_function
 from .group import FiniteParahoricGroup, Mat
 from .kernels import BudgetExceeded, FlagOrbit
-from .subgroups import Subgroup, double_class, solvable_order, subgroup_gens
+from .subgroups import Subgroup, double_class_labels, mulclose, solvable_order, subgroup_gens
 
 DEFAULT_COSET_BUDGET = 10**5
 DEFAULT_ELEMENT_BUDGET = 10**6
@@ -58,6 +58,11 @@ class FlagSpace:
             self._quotients[key] = array("i", self.orbit.quotient(gens))
         return self._quotients[key]
 
+    def double_coset_labels(self, left_gens: list[Mat], f: ConcaveFunction) -> list[int]:
+        """Per-point labels of the double cosets <left_gens> \\ G / P_f: the left
+        orbits on the fibers of G/B -> G/P_f, each labelled by its least point."""
+        return self.orbit.left_orbit_labels(left_gens, self.quotient_labels(f))
+
     def coset_count(self, f: ConcaveFunction) -> int:
         return len(set(self.quotient_labels(f)))
 
@@ -81,34 +86,24 @@ class DoubleCosetTable:
 
 def double_coset_count_flags(flags: FlagSpace, left_gens: list[Mat],
                              right_f: ConcaveFunction) -> int:
-    labels = flags.quotient_labels(right_f)
-    merged = flags.orbit.left_orbit_labels(left_gens, labels)
-    return len(set(merged))
+    return len(set(flags.double_coset_labels(left_gens, right_f)))
 
 
 def double_cosets_flags(flags: FlagSpace, left_gens: list[Mat],
                         right_f: ConcaveFunction,
                         left_name: str = "L", right_name: str = "L'") -> DoubleCosetTable:
-    labels = flags.quotient_labels(right_f)
-    merged = flags.orbit.left_orbit_labels(left_gens, labels)
-    reps: dict[int, Mat] = {}
-    for i, lab in enumerate(merged):
-        if lab not in reps:
-            reps[lab] = flags.orbit.reps[i]
-    out = [reps[lab] for lab in sorted(reps)]
+    # each class is labelled by its least point, so the label is its first point
+    labels = sorted(set(flags.double_coset_labels(left_gens, right_f)))
+    out = [flags.orbit.reps[lab] for lab in labels]
     return DoubleCosetTable(left_name, right_name, len(out), out)
 
 
 def brute_force_double_cosets(group, elements: set, left_gens, right_gens) -> int:
     """Element-level partition of an enumerated group: the independent oracle."""
-    rest, count = set(elements), 0
-    while rest:
-        cls = double_class(group, next(iter(rest)), left_gens, right_gens, cap=len(elements))
-        if not cls <= rest:
-            raise ValueError("the elements are not closed under the generators")
-        rest -= cls
-        count += 1
-    return count
+    labels = double_class_labels(group, elements, left_gens, right_gens, cap=len(elements))
+    if len(labels) != len(elements):
+        raise ValueError("the elements are not closed under the generators")
+    return len(set(labels.values()))
 
 
 def double_cosets(g: FiniteParahoricGroup, left: Subgroup, right: Subgroup,
@@ -130,8 +125,6 @@ def double_cosets(g: FiniteParahoricGroup, left: Subgroup, right: Subgroup,
         raise BudgetExceeded(
             "right subgroup does not contain B and the group is not enumerable"
         )
-    from .subgroups import mulclose
-
     elements = mulclose(g, g.gens(), maxsize=element_budget)
     count = brute_force_double_cosets(g, elements, left.gens, right.gens)
     return DoubleCosetTable(left.name or "L", right.name or "L'", count, [])

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from ..closure import closure
+from ..closure import closure, orbit_labels
 from ..concave import ConcaveFunction
 from .group import FiniteParahoricGroup, Mat
 
@@ -13,13 +13,22 @@ def mulclose(group, gens, maxsize: int | None = None) -> set:
     return closure([identity], lambda b: [group.mul(a, b) for a in gens], maxsize or None)
 
 
+def _double_step(group, left_gens, right_gens):
+    """One step of the (left, right) action: x -> s x and x -> x s."""
+    return lambda x: [group.mul(s, x) for s in left_gens] + [group.mul(x, s) for s in right_gens]
+
+
 def double_class(group, start: Mat, left_gens, right_gens, cap: int = 10**6) -> set[Mat]:
     """The (left, right) double class of start; BudgetExceeded past cap elements."""
-    return closure(
-        [start],
-        lambda x: [group.mul(s, x) for s in left_gens] + [group.mul(x, s) for s in right_gens],
-        cap,
-    )
+    return closure([start], _double_step(group, left_gens, right_gens), cap)
+
+
+def double_class_labels(group, elements, left_gens, right_gens,
+                        cap: int | None = 10**6) -> dict:
+    """Each element, and all of its (left, right) double class, mapped to the
+    first element of `elements` in that class; BudgetExceeded past cap
+    elements in one class."""
+    return orbit_labels(elements, _double_step(group, left_gens, right_gens), cap)
 
 
 class Subgroup:
@@ -43,9 +52,6 @@ class Subgroup:
         if self.f is not None and self.f.is_solvable():
             return solvable_order(self.group, self.f)
         return len(self.elements(budget))
-
-    def contains(self, g: Mat, budget: int = 10**6) -> bool:
-        return g in self.elements(budget)
 
     def __repr__(self) -> str:
         tag = self.name or (repr(self.f) if self.f is not None else f"{len(self.gens)} gens")
@@ -75,12 +81,6 @@ def subgroup_from_concave(g: FiniteParahoricGroup, f: ConcaveFunction,
     if f.h != g.h:
         raise ValueError("depth mismatch between group and concave function")
     return Subgroup(g, subgroup_gens(g, f), f=f, name=name)
-
-
-def borel(g: FiniteParahoricGroup) -> Subgroup:
-    from ..concave import pseudo_borel_function
-
-    return subgroup_from_concave(g, pseudo_borel_function(g.rs, g.h), name="B")
 
 
 def ru_borel_gens(g: FiniteParahoricGroup) -> list[Mat]:

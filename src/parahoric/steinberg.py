@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass, field
 from itertools import product
 
-from .closure import closure
+from .closure import orbit_labels
 from .concave import (
     ConcaveFunction,
     delta_f,
@@ -25,7 +25,7 @@ from .concave import (
 from .groups.checks import check_adjoint_index
 from .groups.cosets import FlagSpace, double_coset_count_flags
 from .groups.group import FiniteParahoricGroup
-from .groups.subgroups import solvable_order, subgroup_gens
+from .groups.subgroups import double_class_labels, solvable_order, subgroup_gens
 
 
 # ---------------------------------------------------------------------------
@@ -131,19 +131,20 @@ def _torus_action_tuples(g: FiniteParahoricGroup, roots: list) -> set:
     return action
 
 
+def _torus_gen_tuples(g: FiniteParahoricGroup, roots: list) -> list[tuple]:
+    """The images of the torus generators in (F_p^x)^roots."""
+    return [tuple(g.root_value(t, a) % g.p for a in roots) for t in g.torus_gens()]
+
+
 def _orbit_count_on_tuples(g: FiniteParahoricGroup, roots: list) -> int:
     """Torus orbits on the regular characters, lambda in (F_p^x)^roots."""
     p = g.p
-    action = _torus_action_tuples(g, roots)
-    seen = set()
-    orbits = 0
-    for lam in product(range(1, p), repeat=len(roots)):
-        if lam in seen:
-            continue
-        orbits += 1
-        for act in action:
-            seen.add(tuple(a * x % p for a, x in zip(act, lam)))
-    return orbits
+    gens = _torus_gen_tuples(g, roots)
+    labels = orbit_labels(
+        product(range(1, p), repeat=len(roots)),
+        lambda lam: [tuple(a * x % p for a, x in zip(act, lam)) for act in gens],
+    )
+    return len(set(labels.values()))
 
 
 def faithfulness_report(g: FiniteParahoricGroup) -> dict:
@@ -199,8 +200,7 @@ class SemidirectQuotient:
         self.p = g.p
         self.roots = roots
         self.torus = sorted(_torus_action_tuples(g, roots))
-        self.torus_gens = [tuple(g.root_value(t, a) % g.p for a in roots)
-                           for t in g.torus_gens()]
+        self.torus_gens = _torus_gen_tuples(g, roots)
         self.elements = [
             (t, lam)
             for t in self.torus
@@ -231,17 +231,7 @@ class SemidirectQuotient:
 
     def double_cosets(self, left: list, right: list) -> int:
         """#(<left> \\ Q / <right>) for generator lists of two subgroups."""
-        seen = set()
-        count = 0
-        for x in self.elements:
-            if x in seen:
-                continue
-            count += 1
-            seen |= closure(
-                [x],
-                lambda y: [self.mul(l, y) for l in left] + [self.mul(y, r) for r in right],
-            )
-        return count
+        return len(set(double_class_labels(self, self.elements, left, right, cap=None).values()))
 
     def st_inner_quotient(self) -> int:
         """(st_T, st_T) inside the quotient, by the same alternating sum."""
@@ -333,11 +323,9 @@ def verify_multiplicity_freeness(g: FiniteParahoricGroup, flags: FlagSpace | Non
         report.add("st_dims_sum_to_index", len(flags), total)
     if g.isogeny == "adjoint":
         report.add("adjoint_irreducible", 1, st_st)
-        delta = sorted(g.rs.neg_simples)
+        delta, parts = interval_subsets(fb)  # Delta_f(fb) is the negative simples
         f_delta = generated_function(fb, set(delta))
-        for bits in product((0, 1), repeat=len(delta)):
-            index = {a for a, b in zip(delta, bits) if b}
-            fi = generated_function(fb, index)
+        for index, fi in parts:
             count = _bdelta_double_cosets(g, flags, fb, fi, f_delta)
             report.add(
                 f"adjoint_cosets_2^(d-{len(index)})",
@@ -351,8 +339,8 @@ def _bdelta_double_cosets(g: FiniteParahoricGroup, flags: FlagSpace,
                           fb: ConcaveFunction, fi: ConcaveFunction,
                           f_delta: ConcaveFunction) -> int:
     """#(B \\ B_Delta / B_I) inside the flag space."""
-    merged = flags.orbit.left_orbit_labels(subgroup_gens(g, fb), flags.quotient_labels(fi))
-    return len({merged[i] for i in flags.base_fibre(f_delta)})
+    labels = flags.double_coset_labels(subgroup_gens(g, fb), fi)
+    return len({labels[i] for i in flags.base_fibre(f_delta)})
 
 
 def generic_bound_check(g: FiniteParahoricGroup, f: ConcaveFunction,

@@ -5,7 +5,7 @@ from collections import Counter
 
 import pytest
 
-from parahoric.closure import closure
+from parahoric.closure import closure, orbit_labels
 from parahoric.concave import (
     ConcaveFunction,
     enumerate_overgroups,
@@ -35,7 +35,6 @@ from parahoric.groups.group import FiniteParahoricGroup, GroupBuildError, build_
 from parahoric.groups.kernels import BudgetExceeded
 from parahoric.groups.subgroups import (
     Subgroup,
-    borel,
     double_class,
     mulclose,
     subgroup_from_concave,
@@ -180,6 +179,23 @@ def test_every_budget_refusal_is_budget_exceeded(sl2_9, sp4_9):
         positive_systems(build_root_system("A", 3), cap=10)
     with pytest.raises(BudgetExceeded):
         FlagSpace(sp4_9, budget=100)
+
+
+def test_orbit_labels_partition_by_first_item():
+    """Orbits of x -> x + 4 on Z/12, labelled by the first item met in each."""
+    labels = orbit_labels([5, 1, 9, 0], lambda x: [(x + 4) % 12])
+    assert labels == {5: 5, 9: 5, 1: 5, 0: 0, 4: 0, 8: 0}  # 4 and 8 lie outside the items
+    assert list(dict.fromkeys(labels.values())) == [5, 0]
+    with pytest.raises(BudgetExceeded):
+        orbit_labels([0], lambda x: [(x + 1) % 12], cap=5)
+
+
+def test_brute_force_refuses_elements_not_closed(sl2_9):
+    """A class that leaves the element set is refused, not counted."""
+    g = sl2_9
+    elements = {g.u((1,), x) for x in range(g.mod)}
+    with pytest.raises(ValueError, match="not closed"):
+        brute_force_double_cosets(g, elements, [g.u((-1,), 1)], [])
 
 
 @pytest.mark.parametrize("group", ["sl2_9", "pgl2_9", "sl2_25", "pgl3_25", "sl3_25", "sp4_9"])
@@ -353,9 +369,26 @@ def test_parahoric_axioms_small(args):
     assert report["pass"], report["failures"][:5]
 
 
-def test_rank1_classes(sl2_9, pgl2_9):
-    assert verify_rank1_classes(sl2_9)["pass"]
-    assert verify_rank1_classes(pgl2_9)["pass"]
+# Full reports of the double-class checks; `instance` is the group's own
+# description, so the pins hold on either kernel.
+REPORT_CASES = {**AXIOM_CASES, "sl2_9": ("A1", "sc", 3, 2)}
+GOLDEN_RANK1_FAILURES = {
+    "sl2_9": [],
+    "pgl2_9": [],
+    "sl2_25": [],
+    # U_{-a,2} does not refine U_{-a,1} into (U, B)-classes at h = 3
+    "sl2_27": [("uclass", 1, 0, 9, False, True), ("uclass", 1, 0, 18, False, True),
+               ("uclass", 1, 9, 0, False, True), ("uclass", 1, 9, 18, False, True),
+               ("uclass", 1, 18, 0, False, True), ("uclass", 1, 18, 9, False, True)],
+}
+
+
+def test_rank1_classes():
+    for case, failures in GOLDEN_RANK1_FAILURES.items():
+        g = build_group(*REPORT_CASES[case])
+        assert verify_rank1_classes(g) == {
+            "instance": g.describe(), "failures": failures, "pass": not failures,
+        }, case
     with pytest.raises(ValueError):
         verify_rank1_classes(build_group("A2", "sc", 5, 2))
 
@@ -372,24 +405,38 @@ def test_absorption_hypothesis_rejection():
 
 
 def test_product_representatives_equal_and_mixed_moduli(sl2_9, sl2_25):
-    report = verify_product_representatives([sl2_9, sl2_9], [1, 1])
-    assert report["pass"] and report["classes"] == 9
-    # one factor trivial (Borel-level) reduces to the rank-1 statement
-    report = verify_product_representatives([sl2_9, sl2_9], [2, 1])
-    assert report["pass"] and report["classes"] == 3
+    # (1, 1): 9 classes; (2, 1), one factor Borel-level: the rank-1 statement;
     # mixed moduli at reduced budget: 1 x 5 factor-wise representatives
-    report = verify_product_representatives([sl2_9, sl2_25], [2, 1])
-    assert report["pass"] and report["classes"] == 5
+    for factors, values, classes in (([sl2_9, sl2_9], [1, 1], 9),
+                                     ([sl2_9, sl2_9], [2, 1], 3),
+                                     ([sl2_9, sl2_25], [2, 1], 5)):
+        assert verify_product_representatives(factors, values) == {
+            "factors": [f.describe() for f in factors],
+            "classes": classes,
+            "products": classes,
+            "per_class_hits": [1],
+            "pass": True,
+        }
 
 
-def test_overgroup_classification(sl2_9, pgl2_9):
-    r = verify_overgroup_classification(sl2_9)
-    assert r["matches"] and r["interval_size"] == 3
-    assert not r["self_normalizing"]  # N(B) = P_1 in SL2(Z/9); see the ledger
-    r = verify_overgroup_classification(pgl2_9)
-    assert r["matches"] and r["self_normalizing"] and r["pass"]
-    r = verify_overgroup_classification(build_group("A1", "sc", 3, 3))
-    assert r["matches"] and r["interval_size"] == 4
+def test_overgroup_classification():
+    # N(B) = P_1 in SL2(Z/9) (see the ledger), so SL2 reports witnesses
+    cases = {
+        "sl2_9": (3, [({"-1": 2}, (1, 0, 3, 1))]),
+        "pgl2_9": (3, []),
+        "sl2_27": (4, [({"-1": 3}, (1, 0, 9, 1)), ({"-1": 2}, (1, 0, 3, 1))]),
+    }
+    for case, (size, witnesses) in cases.items():
+        g = build_group(*REPORT_CASES[case])
+        assert verify_overgroup_classification(g) == {
+            "instance": g.describe(),
+            "interval_size": size,
+            "concave_count": size,
+            "matches": True,
+            "self_normalizing": not witnesses,
+            "normalizer_witnesses": witnesses,
+            "pass": not witnesses,
+        }, case
 
 
 def test_pseudo_borel_conjugacy(sl2_9):
