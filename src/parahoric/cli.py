@@ -223,13 +223,13 @@ def cmd_verify(args) -> int:
             record_not_run("exterior_class_absorption", "skipped", str(exc))
         if g.h >= 2:
             try:
-                rep = verify_multiplicity_freeness(g, flags=flags, budget=args.budget_cosets)
+                rep = verify_multiplicity_freeness(g, flags=flags)
                 record("multiplicity_freeness", rep.checks, rep.ok)
             except ValueError as exc:
                 record_not_run("multiplicity_freeness", "skipped", str(exc))
         ok, witness = generic_exists(g.rs, g.h) if g.rs.rank >= 2 else (False, None)
         if ok:
-            rep = generic_bound_check(g, witness, flags=flags, budget=args.budget_cosets)
+            rep = generic_bound_check(g, witness, flags=flags)
             record("generic_bound", rep.checks, rep.ok)
 
     # a skipped check is reported but does not fail the run; a refusal does

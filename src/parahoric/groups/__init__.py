@@ -1,12 +1,5 @@
 """Concrete matrix groups over Z/p^h with flag-orbit coset machinery."""
 
 from .group import FiniteParahoricGroup, ProductGroup, build_group
-from .subgroups import Subgroup, subgroup_from_concave
 
-__all__ = [
-    "FiniteParahoricGroup",
-    "ProductGroup",
-    "build_group",
-    "Subgroup",
-    "subgroup_from_concave",
-]
+__all__ = ["FiniteParahoricGroup", "ProductGroup", "build_group"]

@@ -8,10 +8,12 @@ from __future__ import annotations
 
 from collections import Counter
 
-from ..concave import ConcaveFunction, generated_function, pseudo_borel_function
+from ..concave import (
+    ConcaveFunction, enumerate_overgroups, generated_function, pseudo_borel_function,
+)
 from ..root_system import Coeffs, positive_systems, serialize_roots
 from .cosets import FlagSpace
-from .group import FiniteParahoricGroup, Mat, ProductGroup
+from .group import FiniteParahoricGroup, Mat, ProductGroup, build_group
 from .subgroups import double_class, double_class_labels, mulclose, ru_borel_gens, subgroup_gens
 
 
@@ -270,14 +272,14 @@ def verify_rank1_classes(g: FiniteParahoricGroup) -> dict:
     return {"instance": g.describe(), "failures": failures, "pass": not failures}
 
 
-def verify_exterior_class_absorption(g: FiniteParahoricGroup, flags: FlagSpace | None = None,
-                budget: int = 10**5) -> dict:
+def verify_exterior_class_absorption(g: FiniteParahoricGroup,
+                                     flags: FlagSpace | None = None) -> dict:
     """Exterior-class absorption: every double class outside B_Delta admits a
     simple root a with (left) g B = (left) g B_a, constant on classes mod
     B_Delta; checked for left = B and left = R_u(B)."""
     check_adjoint_index(g)
     rs, h = g.rs, g.h
-    flags = flags or FlagSpace(g, budget=budget)
+    flags = flags or FlagSpace(g)
     fb = pseudo_borel_function(rs, h)
     delta = sorted(rs.neg_simples)
     f_delta = generated_function(fb, set(delta))
@@ -395,8 +397,6 @@ def verify_overgroup_classification(g: FiniteParahoricGroup,
     fb = pseudo_borel_function(g.rs, g.h)
     b_gens = subgroup_gens(g, fb)
     b_set = frozenset(mulclose(g, b_gens))
-    from ..concave import enumerate_overgroups
-
     concave_sets = {}
     for f in enumerate_overgroups(fb):
         concave_sets[frozenset(mulclose(g, subgroup_gens(g, f), maxsize=budget))] = f
@@ -483,8 +483,6 @@ def verify_pseudo_borel_conjugacy(g: FiniteParahoricGroup) -> dict:
 def verify_reduction_kernel(type_label: str, isogeny: str, p: int, h: int,
                             budget: int = 10**6) -> dict:
     """G(Z/p^h) -> G(Z/p^(h-1)) is onto with kernel of order p^dim."""
-    from .group import build_group
-
     if h < 2:
         raise ValueError("needs h >= 2")
     g = build_group(type_label, isogeny, p, h)

@@ -11,15 +11,14 @@ independent oracle on enumerable instances.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
 
+from ..closure import orbit_labels
 from ..concave import ConcaveFunction, pseudo_borel_function
 from .group import FiniteParahoricGroup, Mat
 from .kernels import BudgetExceeded, FlagOrbit
-from .subgroups import Subgroup, double_class_labels, mulclose, solvable_order, subgroup_gens
+from .subgroups import double_step, solvable_order, subgroup_gens
 
 DEFAULT_COSET_BUDGET = 10**5
-DEFAULT_ELEMENT_BUDGET = 10**6
 
 
 class FlagSpace:
@@ -76,55 +75,22 @@ class FlagSpace:
         return self.quotient_labels(f)[self.orbit.locate(mat)] == 0
 
 
-@dataclass
-class DoubleCosetTable:
-    left: str
-    right: str
-    count: int
-    representatives: list[Mat]
-
-
 def double_coset_count_flags(flags: FlagSpace, left_gens: list[Mat],
                              right_f: ConcaveFunction) -> int:
     return len(set(flags.double_coset_labels(left_gens, right_f)))
 
 
-def double_cosets_flags(flags: FlagSpace, left_gens: list[Mat],
-                        right_f: ConcaveFunction,
-                        left_name: str = "L", right_name: str = "L'") -> DoubleCosetTable:
-    # each class is labelled by its least point, so the label is its first point
-    labels = sorted(set(flags.double_coset_labels(left_gens, right_f)))
-    out = [flags.orbit.reps[lab] for lab in labels]
-    return DoubleCosetTable(left_name, right_name, len(out), out)
-
-
 def brute_force_double_cosets(group, elements: set, left_gens, right_gens) -> int:
-    """Element-level partition of an enumerated group: the independent oracle."""
-    labels = double_class_labels(group, elements, left_gens, right_gens, cap=len(elements))
-    if len(labels) != len(elements):
-        raise ValueError("the elements are not closed under the generators")
-    return len(set(labels.values()))
+    """Element-level partition of an enumerated group: the independent oracle.
 
-
-def double_cosets(g: FiniteParahoricGroup, left: Subgroup, right: Subgroup,
-                  flags: FlagSpace | None = None,
-                  coset_budget: int = DEFAULT_COSET_BUDGET,
-                  element_budget: int = DEFAULT_ELEMENT_BUDGET) -> DoubleCosetTable:
-    """#(left \\ G / right) with canonical representatives.
-
-    Uses the flag space when the right subgroup contains the pseudo-Borel
-    (its descriptor vanishes on the positive system); otherwise falls back
-    to the element-level partition, which must fit the element budget.
+    Raises ValueError as soon as a step of a class leaves `elements`.
     """
-    if right.f is not None and all(right.f[a] == 0 for a in g.rs.positive_roots):
-        flags = flags or FlagSpace(g, budget=coset_budget)
-        return double_cosets_flags(
-            flags, left.gens, right.f, left.name or "L", right.name or "L'"
-        )
-    if g.order() > element_budget:
-        raise BudgetExceeded(
-            "right subgroup does not contain B and the group is not enumerable"
-        )
-    elements = mulclose(g, g.gens(), maxsize=element_budget)
-    count = brute_force_double_cosets(g, elements, left.gens, right.gens)
-    return DoubleCosetTable(left.name or "L", right.name or "L'", count, [])
+    step = double_step(group, left_gens, right_gens)
+
+    def inside(x):
+        out = step(x)
+        if any(y not in elements for y in out):
+            raise ValueError("the elements are not closed under the generators")
+        return out
+
+    return len(set(orbit_labels(elements, inside).values()))

@@ -13,14 +13,14 @@ def mulclose(group, gens, maxsize: int | None = None) -> set:
     return closure([identity], lambda b: [group.mul(a, b) for a in gens], maxsize or None)
 
 
-def _double_step(group, left_gens, right_gens):
+def double_step(group, left_gens, right_gens):
     """One step of the (left, right) action: x -> s x and x -> x s."""
     return lambda x: [group.mul(s, x) for s in left_gens] + [group.mul(x, s) for s in right_gens]
 
 
 def double_class(group, start: Mat, left_gens, right_gens, cap: int = 10**6) -> set[Mat]:
     """The (left, right) double class of start; BudgetExceeded past cap elements."""
-    return closure([start], _double_step(group, left_gens, right_gens), cap)
+    return closure([start], double_step(group, left_gens, right_gens), cap)
 
 
 def double_class_labels(group, elements, left_gens, right_gens,
@@ -28,34 +28,7 @@ def double_class_labels(group, elements, left_gens, right_gens,
     """Each element, and all of its (left, right) double class, mapped to the
     first element of `elements` in that class; BudgetExceeded past cap
     elements in one class."""
-    return orbit_labels(elements, _double_step(group, left_gens, right_gens), cap)
-
-
-class Subgroup:
-    """A subgroup given by generators, optionally backed by a concave function."""
-
-    def __init__(self, group: FiniteParahoricGroup, gens: list[Mat],
-                 f: ConcaveFunction | None = None, name: str = ""):
-        self.group = group
-        self.gens = gens
-        self.f = f
-        self.name = name
-        self._elements: set[Mat] | None = None
-
-    def elements(self, budget: int = 10**6) -> set[Mat]:
-        if self._elements is None:
-            self._elements = mulclose(self.group, self.gens, maxsize=budget)
-        return self._elements
-
-    def order(self, budget: int = 10**6) -> int:
-        """Product-formula order for solvable descriptors, else by closure."""
-        if self.f is not None and self.f.is_solvable():
-            return solvable_order(self.group, self.f)
-        return len(self.elements(budget))
-
-    def __repr__(self) -> str:
-        tag = self.name or (repr(self.f) if self.f is not None else f"{len(self.gens)} gens")
-        return f"Subgroup({tag})"
+    return orbit_labels(elements, double_step(group, left_gens, right_gens), cap)
 
 
 def solvable_order(g: FiniteParahoricGroup, f: ConcaveFunction) -> int:
@@ -74,13 +47,6 @@ def subgroup_gens(g: FiniteParahoricGroup, f: ConcaveFunction) -> list[Mat]:
         if i < g.h:
             gens.append(g.u(a, g.p**i))
     return gens
-
-
-def subgroup_from_concave(g: FiniteParahoricGroup, f: ConcaveFunction,
-                          name: str = "") -> Subgroup:
-    if f.h != g.h:
-        raise ValueError("depth mismatch between group and concave function")
-    return Subgroup(g, subgroup_gens(g, f), f=f, name=name)
 
 
 def ru_borel_gens(g: FiniteParahoricGroup) -> list[Mat]:

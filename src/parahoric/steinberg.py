@@ -1,11 +1,15 @@
 """Small Steinberg representation arithmetic by pure double-coset counting.
 
 Inner products of permutation modules are double-coset counts, so every
-quantity here is an exact integer: dim st_L by inclusion-exclusion over
-the minimal overgroups, (st_L, st_L') by the double alternating sum, and
-the main-theorem certificate (st_B, st_B) = number of torus orbits on
-regular characters of U_Delta.  The quotient group T x| U_Delta is built
-explicitly as an independent second route for every count.
+quantity here is an exact integer.  dim st_L, (1_L, st_L) and (st_L, st_L')
+are all one signed sum over subsets I, J of Delta_f, `_signed_sum`, of
+indices [G:L_I] or double-coset counts #(L_I\\G/L'_J); the main-theorem
+certificate is (st_B, st_B) = number of torus orbits on regular characters
+of U_Delta.  The quotient group T x| U_Delta is built explicitly as an
+independent second route, through the same signed sum.
+
+Counts in G run on a `FlagSpace`, which carries the coset budget; a
+function given none builds one at the default budget of 10^5 points.
 """
 
 from __future__ import annotations
@@ -14,10 +18,11 @@ import json
 from dataclasses import dataclass, field
 from itertools import product
 
-from .closure import orbit_labels
+from .closure import closure, orbit_labels
 from .concave import (
     ConcaveFunction,
     delta_f,
+    enumerate_overgroups,
     generated_function,
     is_generic,
     pseudo_borel_function,
@@ -33,10 +38,9 @@ from .groups.subgroups import double_class_labels, solvable_order, subgroup_gens
 
 
 def perm_inner(g: FiniteParahoricGroup, f_left: ConcaveFunction,
-               f_right: ConcaveFunction, flags: FlagSpace | None = None,
-               budget: int = 10**5) -> int:
+               f_right: ConcaveFunction, flags: FlagSpace | None = None) -> int:
     """(1_L, 1_L') = #(L'\\G/L) for subgroups given by concave functions."""
-    flags = flags or FlagSpace(g, budget=budget)
+    flags = flags or FlagSpace(g)
     return double_coset_count_flags(flags, subgroup_gens(g, f_left), f_right)
 
 
@@ -54,56 +58,52 @@ def interval_subsets(f: ConcaveFunction):
     return delta, [(index, generated_function(f, index)) for index in _index_sets(delta)]
 
 
+def _signed_sum(lefts: list, rights: list, count) -> int:
+    """Sum over (I, x) in lefts and (J, y) in rights of (-1)^(|I|+|J|) count(x, y):
+    the one alternating sum behind every Steinberg number."""
+    return sum((-1) ** (len(index_l) + len(index_r)) * count(x, y)
+               for index_l, x in lefts for index_r, y in rights)
+
+
 def st_dim(g: FiniteParahoricGroup, f: ConcaveFunction,
            flags: FlagSpace | None = None) -> int:
-    """dim st_L = sum over I of (-1)^|I| [G:L_I], L the subgroup of f."""
+    """dim st_L = sum over I of (-1)^|I| [G:L_I], L the subgroup of f.
+
+    Solvable L_I are indexed by the product formula; the others by the flag
+    space, built at most once and only if some L_I needs it.
+    """
     if all(f[a] == 0 for a in f.rs.roots):
         return 1  # st_G is the trivial character
-    _, parts = interval_subsets(f)
-    total = 0
-    for index, fi in parts:
-        order = _subgroup_order(g, fi, flags=flags)
-        term = g.order() // order
-        total += (-1) ** len(index) * term
+
+    def g_index(fi: ConcaveFunction, _) -> int:
+        nonlocal flags
+        if fi.is_solvable():
+            return g.order() // solvable_order(g, fi)
+        if all(fi[a] == 0 for a in g.rs.roots):
+            return 1
+        flags = flags or FlagSpace(g)
+        return flags.coset_count(fi)
+
+    total = _signed_sum(interval_subsets(f)[1], [(frozenset(), None)], g_index)
     assert total >= 0
     return total
 
 
-def _subgroup_order(g: FiniteParahoricGroup, f: ConcaveFunction,
-                    flags: FlagSpace | None = None) -> int:
-    if f.is_solvable():
-        return solvable_order(g, f)
-    if all(f[a] == 0 for a in g.rs.roots):
-        return g.order()
-    flags = flags or FlagSpace(g)
-    return g.order() // flags.coset_count(f)
-
-
 def st_inner(g: FiniteParahoricGroup, f: ConcaveFunction, f2: ConcaveFunction,
-             flags: FlagSpace | None = None, budget: int = 10**5) -> int:
+             flags: FlagSpace | None = None) -> int:
     """(st_L, st_L') = sum over I, J of (-1)^(|I|+|J|) #(L_I\\G/L'_J)."""
-    flags = flags or FlagSpace(g, budget=budget)
-    _, left_parts = interval_subsets(f)
-    _, right_parts = interval_subsets(f2)
-    total = 0
-    for index_l, fl in left_parts:
-        gens_l = subgroup_gens(g, fl)
-        for index_r, fr in right_parts:
-            count = double_coset_count_flags(flags, gens_l, fr)
-            total += (-1) ** (len(index_l) + len(index_r)) * count
-    return total
+    flags = flags or FlagSpace(g)
+    lefts = [(index, subgroup_gens(g, fl)) for index, fl in interval_subsets(f)[1]]
+    return _signed_sum(lefts, interval_subsets(f2)[1],
+                       lambda gens, fr: double_coset_count_flags(flags, gens, fr))
 
 
 def one_st_inner(g: FiniteParahoricGroup, f: ConcaveFunction,
-                 flags: FlagSpace | None = None, budget: int = 10**5) -> int:
+                 flags: FlagSpace | None = None) -> int:
     """(1_L, st_L) = sum over I of (-1)^|I| #(L\\G/L_I)."""
-    flags = flags or FlagSpace(g, budget=budget)
-    gens_l = subgroup_gens(g, f)
-    total = 0
-    for index, fi in interval_subsets(f)[1]:
-        count = double_coset_count_flags(flags, gens_l, fi)
-        total += (-1) ** len(index) * count
-    return total
+    flags = flags or FlagSpace(g)
+    return _signed_sum([(frozenset(), subgroup_gens(g, f))], interval_subsets(f)[1],
+                       lambda gens, fi: double_coset_count_flags(flags, gens, fi))
 
 
 # ---------------------------------------------------------------------------
@@ -120,15 +120,6 @@ def regular_orbit_count(g: FiniteParahoricGroup) -> int:
     if g.h < 2:
         raise ValueError("regular characters need depth h >= 2")
     return _orbit_count_on_tuples(g, sorted(g.rs.neg_simples))
-
-
-def _torus_action_tuples(g: FiniteParahoricGroup, roots: list) -> set:
-    """The image of the torus in (F_p^x)^roots acting by root values."""
-    p = g.p
-    action = set()
-    for t in g.torus_elements():
-        action.add(tuple(g.root_value(t, a) % p for a in roots))
-    return action
 
 
 def _torus_gen_tuples(g: FiniteParahoricGroup, roots: list) -> list[tuple]:
@@ -199,8 +190,11 @@ class SemidirectQuotient:
     def __init__(self, g: FiniteParahoricGroup, roots: list):
         self.p = g.p
         self.roots = roots
-        self.torus = sorted(_torus_action_tuples(g, roots))
         self.torus_gens = _torus_gen_tuples(g, roots)
+        self.torus = sorted(closure(
+            [self.identity_el()[0]],
+            lambda s: [tuple(u * v % self.p for u, v in zip(s, t)) for t in self.torus_gens],
+        ))
         self.elements = [
             (t, lam)
             for t in self.torus
@@ -235,21 +229,14 @@ class SemidirectQuotient:
 
     def st_inner_quotient(self) -> int:
         """(st_T, st_T) inside the quotient, by the same alternating sum."""
-        total = 0
-        for index_l in self.subsets:
-            left = self.subgroup(index_l)
-            for index_r in self.subsets:
-                total += (-1) ** (len(index_l) + len(index_r)) * self.double_cosets(
-                    left, self.subgroup(index_r)
-                )
-        return total
+        parts = [(index, self.subgroup(index)) for index in self.subsets]
+        return _signed_sum(parts, parts, self.double_cosets)
 
     def one_st_inner_quotient(self) -> int:
-        tbar = self.subgroup(frozenset())
-        return sum(
-            (-1) ** len(index) * self.double_cosets(tbar, self.subgroup(index))
-            for index in self.subsets
-        )
+        """(1_T, st_T) inside the quotient."""
+        tbar = [(frozenset(), self.subgroup(frozenset()))]
+        return _signed_sum(tbar, [(index, self.subgroup(index)) for index in self.subsets],
+                           self.double_cosets)
 
 
 # ---------------------------------------------------------------------------
@@ -294,8 +281,8 @@ class SteinbergReport:
         return json.dumps(payload, sort_keys=True)
 
 
-def verify_multiplicity_freeness(g: FiniteParahoricGroup, flags: FlagSpace | None = None,
-                        budget: int = 10**5) -> SteinbergReport:
+def verify_multiplicity_freeness(g: FiniteParahoricGroup,
+                                 flags: FlagSpace | None = None) -> SteinbergReport:
     """Certify multiplicity-freeness at this instance by counting.
 
     (st_B, st_B) in G must equal the same alternating sum inside the
@@ -305,7 +292,7 @@ def verify_multiplicity_freeness(g: FiniteParahoricGroup, flags: FlagSpace | Non
     check_adjoint_index(g)
     if g.h < 2:
         raise ValueError("instance checks need h >= 2")
-    flags = flags or FlagSpace(g, budget=budget)
+    flags = flags or FlagSpace(g)
     fb = pseudo_borel_function(g.rs, g.h)
     report = SteinbergReport(g.describe())
 
@@ -317,8 +304,6 @@ def verify_multiplicity_freeness(g: FiniteParahoricGroup, flags: FlagSpace | Non
     one_st = one_st_inner(g, fb, flags=flags)
     report.add("one_st_quotient_route", quotient.one_st_inner_quotient(), one_st)
     if g.rs.rank <= 3 and g.h <= 4:
-        from .concave import enumerate_overgroups
-
         total = sum(st_dim(g, f, flags=flags) for f in enumerate_overgroups(fb))
         report.add("st_dims_sum_to_index", len(flags), total)
     if g.isogeny == "adjoint":
@@ -344,8 +329,7 @@ def _bdelta_double_cosets(g: FiniteParahoricGroup, flags: FlagSpace,
 
 
 def generic_bound_check(g: FiniteParahoricGroup, f: ConcaveFunction,
-                        flags: FlagSpace | None = None,
-                        budget: int = 1_200_000) -> SteinbergReport:
+                        flags: FlagSpace | None = None) -> SteinbergReport:
     """The generic lower bound at this instance.
 
     Requires f generic; computes (st_P, st_P), the torus orbit count on the
@@ -378,8 +362,8 @@ def generic_bound_check(g: FiniteParahoricGroup, f: ConcaveFunction,
     orbits = _orbit_count_on_tuples(g, delta)
     report.add_ge("orbit_count_vs_bound", bound, orbits)
 
-    flags = flags or FlagSpace(g, budget=budget)
-    st_st = st_inner(g, f, f, flags=flags, budget=budget)
+    flags = flags or FlagSpace(g)
+    st_st = st_inner(g, f, f, flags=flags)
     report.add_ge("st_st_vs_orbits", orbits, st_st)
     report.add_ge("st_st_vs_bound", bound, st_st)
     return report

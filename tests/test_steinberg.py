@@ -7,6 +7,7 @@ from parahoric.concave import (
     enumerate_overgroups,
     pseudo_borel_function,
 )
+from parahoric import steinberg
 from parahoric.groups.group import build_group
 from parahoric.steinberg import (
     SemidirectQuotient,
@@ -95,6 +96,45 @@ def test_st_inner_small(sl2_9, flags_sl2_9):
     assert st_inner(g, fb, fb, flags=flags_sl2_9) == 2
     assert st_inner(g, fb, whole, flags=flags_sl2_9) == 0  # distinct components
     assert one_st_inner(g, fb, flags=flags_sl2_9) == 2
+
+
+# (st_B, st_B), (1_B, st_B), (st_B, st_G) and dim st_P for every P in the
+# interval [B, G], in the order of enumerate_overgroups, recorded from the
+# per-function alternating sums; each list of dims sums to |G/B|.
+GOLDEN_STEINBERG = {
+    "sl2_25": (2, 2, 0, [1, 5, 24]),
+    "pgl2_9": (1, 1, 0, [1, 3, 8]),
+    "sl3_25": (1, 1, 0, [1, 30, 30, 125, 744, 744, 2976, 744, 2976, 14880]),
+    "pgl3_25": (1, 1, 0, [1, 30, 30, 125, 744, 744, 2976, 744, 2976, 14880]),
+    "sp4_9": (2, 2, 0, [1, 39, 39, 81, 80, 240, 1040, 960, 1840, 960, 1920, 5760]),
+    "sl3_27": (3, 3, 0, [1, 12, 12, 27, 104, 104, 208, 104, 208, 624, 936, 936, 1872, 936,
+                         936, 5616, 936, 1872, 5616, 16848]),
+}
+
+
+@pytest.mark.parametrize("group", list(GOLDEN_STEINBERG))
+def test_steinberg_values_golden(request, group):
+    g = request.getfixturevalue(group)
+    flags = request.getfixturevalue(f"flags_{group}")
+    fb = pseudo_borel_function(g.rs, g.h)
+    whole = ConcaveFunction.make(g.rs, g.h, {a: 0 for a in g.rs.roots})
+    dims = [st_dim(g, f, flags=flags) for f in enumerate_overgroups(fb)]
+    got = (st_inner(g, fb, fb, flags=flags), one_st_inner(g, fb, flags=flags),
+           st_inner(g, fb, whole, flags=flags), dims)
+    assert got == GOLDEN_STEINBERG[group]
+    assert sum(dims) == len(flags)
+
+
+def test_st_dim_without_flags_builds_one_flag_space(monkeypatch, sp4_9):
+    """Given no flag space, st_dim builds one only if some L_I is neither
+    solvable nor G, and then only one: for the fourth overgroup of B in
+    Sp4(Z/9), two of its L_I need the flag space."""
+    built = []
+    real = steinberg.FlagSpace
+    monkeypatch.setattr(steinberg, "FlagSpace", lambda g: built.append(g) or real(g))
+    fs = enumerate_overgroups(pseudo_borel_function(sp4_9.rs, sp4_9.h))
+    assert [st_dim(sp4_9, fs[k]) for k in (3, 7)] == [81, 960]
+    assert len(built) == 1
 
 
 def test_regular_orbit_counts(sl2_9, pgl2_9, sl2_25, pgl3_25):
