@@ -9,7 +9,8 @@ with `closure`.  Every enumeration that would outgrow its budget raises
 `BudgetExceeded` instead of thrashing.  Two walks keep their own loop but
 raise this same class: the flag-orbit build of the Python kernel, which
 numbers points as it finds them, and the compiled kernel, whose points live
-in C++ and whose build, base fibres and left orbits all run through one loop.
+in C++ and whose three passes (build, quotient with its base fibre, left
+orbits) all run through one loop.
 """
 
 from __future__ import annotations

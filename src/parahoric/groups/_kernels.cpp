@@ -1,11 +1,15 @@
 // Compiled kernels: packed modular matrices and flag-orbit passes.
 //
-// Same interface and outputs as _kernels_py, the pure-Python reference twin.
-// Matrices and flag keys are packed into 64-bit words (entries of Z/p^h in
-// ceil(log2 p^h) bits), which keeps the orbit hash map and the representative
-// store compact enough for the million-point coset spaces.  Matrices are at
-// most 4 x 4 and a row times a column is summed in a C int; kernels.kernel_for
-// routes every instance beyond that range to _kernels_py.
+// Same interface and outputs as _kernels_py, the pure-Python reference twin:
+// the module exports mat_mul, FlagOrbit and IMPLEMENTATION, and a FlagOrbit
+// has len() and the three passes the package runs, build, quotient and
+// left_orbit_labels, all walks of one loop (left_walk).  Points and their
+// representative matrices stay inside the object.  Matrices and flag keys
+// are packed into 64-bit words (entries of Z/p^h in ceil(log2 p^h) bits),
+// which keeps the orbit hash map and the representative store compact enough
+// for the million-point coset spaces.  Matrices are at most 4 x 4 and a row
+// times a column is summed in a C int; kernels.kernel_for routes every
+// instance beyond that range to _kernels_py.
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -100,9 +104,9 @@ bool check_size(long n, long mod, long p, long max_mod) {
 }
 
 // Scales a so that a[r] = 1; then, given b, clears b[r] by subtracting b[r] * a.
-// inv is a table of unit inverses, or null to invert directly.
+// inv is the table of unit inverses of Z/mod.
 void pivot(int* a, int* b, int r, int n, uint32_t mod, const int* inv) {
-    uint32_t s = inv ? inv[a[r]] : inv_unit(a[r], static_cast<int>(mod));
+    uint32_t s = inv[a[r]];
     for (int i = 0; i < n; ++i) a[i] = static_cast<int>(a[i] * s % mod);
     if (!b) return;
     uint32_t t = b[r];
@@ -162,18 +166,6 @@ PyObject* mat_mul(PyObject*, PyObject* const* args, Py_ssize_t nargs) {
     return to_tuple(c.data(), n * n);
 }
 
-PyObject* flag_key(PyObject*, PyObject* const* args, Py_ssize_t nargs) {
-    long v[4];  // n, mod, p, k
-    Mat g{};
-    int key[MAX_KEY];
-    if (!parse_args("flag_key", args, nargs, 5, 1, v) || !check_size(v[0], v[1], v[2], MAX_FLAG_MOD))
-        return nullptr;
-    int n = static_cast<int>(v[0]), mod = static_cast<int>(v[1]);
-    if (!read_mat(args[0], g.data(), n * n, mod)) return nullptr;
-    int m = flag_arr(g.data(), key, n, mod, static_cast<int>(v[2]), v[3] == 1 ? 1 : 2, nullptr);
-    return m ? to_tuple(key, m) : nullptr;
-}
-
 struct Points {  // the C++ containers behind a FlagOrbit
     std::vector<uint64_t> reps;                   // packed representative of each point
     std::unordered_map<uint64_t, int64_t> index;  // packed flag key -> point
@@ -203,7 +195,7 @@ void unpack_rep(const FlagOrbit* o, int64_t i, Mat& out) {
 }
 
 bool flag_of(const FlagOrbit* o, const int* mat, uint64_t* word) {
-    int key[MAX_KEY];
+    int key[MAX_KEY] = {};
     int m = flag_arr(mat, key, o->n, o->mod, o->p, o->k, o->pts->inv.data());
     if (m) *word = pack(o, key, m);
     return m != 0;
@@ -329,38 +321,11 @@ PyObject* orbit_build(FlagOrbit* self, PyObject* args, PyObject* kwds) {
     return ok ? PyLong_FromSize_t(reps.size()) : nullptr;
 }
 
-PyObject* orbit_locate(FlagOrbit* self, PyObject* const* args, Py_ssize_t nargs) {
-    Mat m;
-    if (!parse_args("locate", args, nargs, 1, 1, nullptr) ||
-        !read_mat(args[0], m.data(), self->n * self->n, self->mod))
-        return nullptr;
-    int64_t j = point_of(self, m.data());
-    return j < 0 ? nullptr : PyLong_FromLongLong(j);
-}
-
-// apply_left(s, i): the point of s * reps[i]; apply_right(i, s): of reps[i] * s.
-template <bool right>
-PyObject* orbit_apply(FlagOrbit* self, PyObject* const* args, Py_ssize_t nargs) {
-    if (!parse_args(right ? "apply_right" : "apply_left", args, nargs, 2, 2, nullptr))
-        return nullptr;
-    Py_ssize_t i = PyNumber_AsSsize_t(args[right ? 0 : 1], PyExc_IndexError);
-    if (i == -1 && PyErr_Occurred()) return nullptr;
-    if (i < 0) i += orbit_len(self);  // list semantics: negative counts from the end
-    if (i < 0 || i >= orbit_len(self))
-        return PyErr_Format(PyExc_IndexError, "point index out of range");
-    Mat m, cur, out;
-    if (!read_mat(args[right ? 1 : 0], m.data(), self->n * self->n, self->mod)) return nullptr;
-    unpack_rep(self, i, cur);
-    if (right) mul_arr(cur.data(), m.data(), out.data(), self->n, self->mod);
-    else mul_arr(m.data(), cur.data(), out.data(), self->n, self->mod);
-    int64_t j = point_of(self, out.data());
-    return j < 0 ? nullptr : PyLong_FromLongLong(j);
-}
-
 // Per-point labels of the fibers of G/B -> G/P, P = <gens> containing the
-// stabilizer: the fiber of point i is reps[i] * F, F the left orbit of point
-// 0 under gens, labelled by its least point.  Two translates that meet raise
-// ValueError: then <gens> does not contain the stabilizer.
+// stabilizer: the fiber of point i is r_i * F, r_i its representative and F
+// the left orbit of point 0 under gens, labelled by its least point.  Two
+// translates that meet raise ValueError: then <gens> does not contain the
+// stabilizer.
 PyObject* orbit_quotient(FlagOrbit* self, PyObject* gens) {
     if (!orbit_len(self)) return PyErr_Format(PyExc_IndexError, "point index out of range");
     std::vector<Mat> xs;
@@ -433,58 +398,14 @@ PyObject* orbit_left_orbit_labels(FlagOrbit* self, PyObject* const* args, Py_ssi
     return to_list(labs);
 }
 
-// reps: a read-only sequence view of the representative matrices.  Indexing
-// goes through PySequence_GetItem, which adds len to a negative index, so it
-// has list semantics: IndexError past either end, and iteration stops.
-struct RepView {
-    PyObject_HEAD
-    FlagOrbit* orbit;
-};
-
-void view_dealloc(RepView* self) {
-    Py_DECREF(self->orbit);
-    Py_TYPE(self)->tp_free(reinterpret_cast<PyObject*>(self));
-}
-
-Py_ssize_t view_len(RepView* self) {
-    return orbit_len(self->orbit);
-}
-
-PyObject* view_item(RepView* self, Py_ssize_t i) {
-    Mat m;
-    if (i < 0 || i >= orbit_len(self->orbit))
-        return PyErr_Format(PyExc_IndexError, "point index out of range");
-    unpack_rep(self->orbit, i, m);
-    return to_tuple(m.data(), self->orbit->n * self->orbit->n);
-}
-
-PySequenceMethods view_seq = {reinterpret_cast<lenfunc>(view_len), nullptr, nullptr,
-                              reinterpret_cast<ssizeargfunc>(view_item)};
-
-PyTypeObject RepViewType = {PyVarObject_HEAD_INIT(nullptr, 0) "parahoric.groups._kernels.RepView"};
-
-PyObject* orbit_reps(FlagOrbit* self, void*) {
-    RepView* view = PyObject_New(RepView, &RepViewType);
-    if (view) view->orbit = reinterpret_cast<FlagOrbit*>(Py_NewRef(self));
-    return reinterpret_cast<PyObject*>(view);
-}
-
 #define FN(f) reinterpret_cast<PyCFunction>(reinterpret_cast<void (*)(void)>(f))
 
 PyMethodDef orbit_methods[] = {
     {"build", FN(orbit_build), METH_VARARGS | METH_KEYWORDS, "build(gens, max_points) -> size"},
-    {"locate", FN(orbit_locate), METH_FASTCALL, "locate(mat) -> point of mat's flag"},
-    {"apply_left", FN(orbit_apply<false>), METH_FASTCALL, "apply_left(s, i) -> point of s*reps[i]"},
-    {"apply_right", FN(orbit_apply<true>), METH_FASTCALL, "apply_right(i, x) -> point of reps[i]*x"},
     {"quotient", FN(orbit_quotient), METH_O, "quotient(gens) -> fiber label per point"},
     {"left_orbit_labels", FN(orbit_left_orbit_labels), METH_FASTCALL,
      "left_orbit_labels(left_gens, labels) -> left-orbit label per point"},
     {nullptr, nullptr, 0, nullptr},
-};
-
-PyGetSetDef orbit_getset[] = {
-    {"reps", reinterpret_cast<getter>(orbit_reps), nullptr, "representative of each point", nullptr},
-    {nullptr, nullptr, nullptr, nullptr, nullptr},
 };
 
 PySequenceMethods orbit_seq = {reinterpret_cast<lenfunc>(orbit_len)};
@@ -493,7 +414,6 @@ PyTypeObject FlagOrbitType = {PyVarObject_HEAD_INIT(nullptr, 0) "parahoric.group
 
 PyMethodDef module_methods[] = {
     {"mat_mul", FN(mat_mul), METH_FASTCALL, "mat_mul(a, b, n, mod) -> a*b over Z/mod"},
-    {"flag_key", FN(flag_key), METH_FASTCALL, "flag_key(g, n, mod, p, k) -> key of g's flag"},
     {nullptr, nullptr, 0, nullptr},
 };
 
@@ -511,12 +431,7 @@ PyMODINIT_FUNC PyInit__kernels() {
     FlagOrbitType.tp_dealloc = reinterpret_cast<destructor>(orbit_dealloc);
     FlagOrbitType.tp_as_sequence = &orbit_seq;
     FlagOrbitType.tp_methods = orbit_methods;
-    FlagOrbitType.tp_getset = orbit_getset;
-    RepViewType.tp_basicsize = sizeof(RepView);
-    RepViewType.tp_flags = Py_TPFLAGS_DEFAULT;
-    RepViewType.tp_dealloc = reinterpret_cast<destructor>(view_dealloc);
-    RepViewType.tp_as_sequence = &view_seq;
-    if (PyType_Ready(&FlagOrbitType) < 0 || PyType_Ready(&RepViewType) < 0) return nullptr;
+    if (PyType_Ready(&FlagOrbitType) < 0) return nullptr;
 
     PyObject* closure = PyImport_ImportModule("parahoric.closure");
     if (!closure) return nullptr;

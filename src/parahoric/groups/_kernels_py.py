@@ -4,8 +4,11 @@ Matrices are flat tuples of length n*n with entries reduced mod m = p^h.
 A flag key is the canonical form of the span flag of the first k columns
 (k = 1: a line; k = 2: a line inside a plane), which identifies the coset
 of the standard flag stabilizer.  The compiled twin, built from
-_kernels.cpp, implements the same interface with the same outputs; this
-module is the reference the differential tests compare it against.
+_kernels.cpp, implements the same interface with the same outputs:
+`mat_mul`, `IMPLEMENTATION`, and `FlagOrbit` with its three passes `build`,
+`quotient` and `left_orbit_labels`.  The other functions here are the
+helpers of those passes.  This module is the reference the differential
+tests compare the compiled kernel against.
 """
 
 from __future__ import annotations
@@ -87,60 +90,61 @@ def flag_key(g, n: int, mod: int, p: int, k: int) -> tuple[int, ...]:
 class FlagOrbit:
     """Orbit of the standard flag under a matrix group, with coset passes.
 
-    Points are flags; point i stores a representative matrix reps[i] with
-    reps[i] * base-flag = point.  quotient() computes the fibers of the map
-    onto G/P for a subgroup P containing the stabilizer, as translates of the
-    base fiber, and left_orbit_labels() the orbits of a left subgroup on them.
+    The interface is the three passes the package runs, and len():
+    build() numbers the points (flags) of the orbit, storing for point i a
+    representative matrix r_i with r_i * base-flag = point; quotient()
+    labels the fibers of the map onto G/P for a subgroup P containing the
+    stabilizer, as translates of the base fiber; left_orbit_labels() labels
+    the orbits of a left subgroup on those fibers.  Points and matrices are
+    only reached through these passes.
     """
 
     def __init__(self, n: int, mod: int, p: int, k: int):
-        self.n = n
-        self.mod = mod
-        self.p = p
-        self.k = k
-        self.reps: list[tuple[int, ...]] = []
-        self.index: dict[tuple[int, ...], int] = {}
+        self._n = n
+        self._mod = mod
+        self._p = p
+        self._k = k
+        self._reps: list[tuple[int, ...]] = []
+        self._index: dict[tuple[int, ...], int] = {}
 
     def build(self, gens, max_points: int) -> int:
-        n, mod, p, k = self.n, self.mod, self.p, self.k
+        n, mod, p, k = self._n, self._mod, self._p, self._k
         ident = mat_identity(n)
-        self.reps = [ident]
-        self.index = {flag_key(ident, n, mod, p, k): 0}
-        for g in self.reps:  # the list is the breadth-first queue: it grows as it is walked
+        self._reps = [ident]
+        self._index = {flag_key(ident, n, mod, p, k): 0}
+        for g in self._reps:  # the list is the breadth-first queue: it grows as it is walked
             for s in gens:
                 hmat = mat_mul(s, g, n, mod)
                 key = flag_key(hmat, n, mod, p, k)
-                if key not in self.index:
-                    self.index[key] = len(self.reps)
-                    self.reps.append(hmat)
-                    if len(self.reps) > max_points:
+                if key not in self._index:
+                    self._index[key] = len(self._reps)
+                    self._reps.append(hmat)
+                    if len(self._reps) > max_points:
                         raise BudgetExceeded(f"flag orbit exceeded {max_points} points")
-        return len(self.reps)
+        return len(self._reps)
 
     def __len__(self) -> int:
-        return len(self.reps)
+        return len(self._reps)
 
-    def locate(self, mat) -> int:
-        return self.index[flag_key(mat, self.n, self.mod, self.p, self.k)]
+    def _locate(self, mat) -> int:
+        """The point of the flag that mat spans; KeyError off the orbit."""
+        return self._index[flag_key(mat, self._n, self._mod, self._p, self._k)]
 
-    def apply_left(self, s, i: int) -> int:
-        return self.locate(mat_mul(s, self.reps[i], self.n, self.mod))
-
-    def apply_right(self, i: int, x) -> int:
-        return self.locate(mat_mul(self.reps[i], x, self.n, self.mod))
+    def _apply_left(self, s, i: int) -> int:
+        return self._locate(mat_mul(s, self._reps[i], self._n, self._mod))
 
     def quotient(self, gens) -> list[int]:
         """Per-point labels of the fibers of G/B -> G/P, P = <gens> containing
-        the stabilizer: the fiber of point i is reps[i] * F, F the left orbit
-        of point 0 under gens, labelled by its least point.  Two translates
-        that meet raise ValueError: then <gens> does not contain the stabilizer.
+        the stabilizer: the fiber of point i is r_i * F, F the left orbit of
+        point 0 under gens, labelled by its least point.  Two translates that
+        meet raise ValueError: then <gens> does not contain the stabilizer.
         """
-        fibre = closure([0], lambda j: [self.apply_left(s, j) for s in gens])
-        labels = [-1] * len(self.reps)
-        for i in range(len(self.reps)):
+        fibre = closure([0], lambda j: [self._apply_left(s, j) for s in gens])
+        labels = [-1] * len(self._reps)
+        for i, rep in enumerate(self._reps):
             if labels[i] < 0:
                 for j in fibre:
-                    t = self.apply_right(i, self.reps[j])
+                    t = self._locate(mat_mul(rep, self._reps[j], self._n, self._mod))
                     if labels[t] >= 0:
                         raise ValueError("translates of the base fiber meet: "
                                          "<gens> does not contain the stabilizer")
@@ -155,10 +159,10 @@ class FlagOrbit:
         the fiber labels in increasing order, moving each by left_gens to the
         label of its image, and each orbit is labelled by its least label.
         """
-        if any(not 0 <= c < len(self.reps) for c in labels):
+        if any(not 0 <= c < len(self._reps) for c in labels):
             raise ValueError("labels must be point indices")
         if any(labels[c] != c for c in labels):
             raise ValueError("a label is not in its own fiber")
         orbit = orbit_labels(sorted(set(labels)),
-                             lambda d: [labels[self.apply_left(s, d)] for s in left_gens])
+                             lambda d: [labels[self._apply_left(s, d)] for s in left_gens])
         return [orbit[c] for c in labels]

@@ -16,6 +16,10 @@ from .cosets import FlagSpace
 from .group import FiniteParahoricGroup, Mat, ProductGroup, build_group
 from .subgroups import double_class, double_class_labels, mulclose, ru_borel_gens, subgroup_gens
 
+# the element budget of the checks that enumerate a group; also the default of
+# --budget-elements, which only verify_overgroup_classification takes
+ELEMENT_BUDGET = 10**6
+
 
 def lu_factor(g: FiniteParahoricGroup, m: Mat):
     """m = lower-unipotent * diagonal * upper-unipotent over Z/p^h.
@@ -274,43 +278,40 @@ def verify_rank1_classes(g: FiniteParahoricGroup) -> dict:
 
 def verify_exterior_class_absorption(g: FiniteParahoricGroup,
                                      flags: FlagSpace | None = None) -> dict:
-    """Exterior-class absorption: every double class outside B_Delta admits a
-    simple root a with (left) g B = (left) g B_a, constant on classes mod
-    B_Delta; checked for left = B and left = R_u(B)."""
-    check_adjoint_index(g)
-    rs, h = g.rs, g.h
-    flags = flags or FlagSpace(g)
-    fb = pseudo_borel_function(rs, h)
-    delta = sorted(rs.neg_simples)
-    f_delta = generated_function(fb, set(delta))
-    alpha_gens = {a: g.u(a, g.p ** (h - 1)) for a in delta}
+    """Exterior-class absorption: every (L, B) double coset L x B outside
+    B_Delta equals L x B_a for some simple root a, and one a serves all the
+    classes inside each (L, B_Delta) class; checked for L = B and L = R_u(B).
 
-    b_gens = subgroup_gens(g, fb)
+    Every partition is a flag-space labelling, each class labelled by its
+    least point, so a serves the class c iff c is the only (L, B) class in
+    the (L, B_a) class that contains it.  The coarser labellings are kept
+    only as maps from (L, B) class to coarse class, so at most one per-point
+    list besides the fine one is alive at a time.
+    """
+    check_adjoint_index(g)
+    flags = flags or FlagSpace(g)
+    fb = pseudo_borel_function(g.rs, g.h)
+    delta = sorted(g.rs.neg_simples)
+    f_delta = generated_function(fb, set(delta))
     inside = flags.base_fibre(f_delta)
     results = {}
-    for left_name, left_gens in (("B", b_gens), ("RuB", ru_borel_gens(g))):
+    for left_name, left_gens in (("B", subgroup_gens(g, fb)), ("RuB", ru_borel_gens(g))):
         fine = flags.double_coset_labels(left_gens, fb)
-        coarse = flags.double_coset_labels(left_gens, f_delta)
-        works: dict[int, set] = {}
-        for c in set(fine):
-            works[c] = set(delta)
-        for i in range(len(flags.orbit)):
-            c = fine[i]
-            if i in inside:
-                continue
-            for a in list(works[c]):
-                j = flags.orbit.apply_right(i, alpha_gens[a])
-                if fine[j] != c:
-                    works[c].discard(a)
-        exterior = {fine[i] for i in range(len(flags.orbit)) if i not in inside}
+        coarse = dict(zip(fine, flags.double_coset_labels(left_gens, f_delta)))
+        exterior = set(fine) - {fine[i] for i in inside}
+        works: dict[int, set] = {c: set() for c in exterior}
+        for a in delta:
+            f_a = generated_function(fb, {a})
+            owner = dict(zip(fine, flags.double_coset_labels(left_gens, f_a)))
+            fine_per_class = Counter(owner.values())
+            for c in exterior:
+                if fine_per_class[owner[c]] == 1:
+                    works[c].add(a)
         no_alpha = [c for c in exterior if not works[c]]
         # constancy across classes mod B_Delta
         coarse_choices: dict[int, set] = {}
-        for i in range(len(flags.orbit)):
-            if i in inside:
-                continue
-            cc = coarse[i]
-            coarse_choices.setdefault(cc, set(delta)).intersection_update(works[fine[i]])
+        for c in exterior:
+            coarse_choices.setdefault(coarse[c], set(delta)).intersection_update(works[c])
         inconstant = [cc for cc, s in coarse_choices.items() if not s]
         results[left_name] = {
             "exterior_classes": len(exterior),
@@ -332,7 +333,7 @@ def check_adjoint_index(g: FiniteParahoricGroup) -> None:
         raise ValueError("A2 requires p not dividing the adjoint index 3")
 
 
-def verify_product_representatives(factors, f_values, budget: int = 10**6) -> dict:
+def verify_product_representatives(factors, f_values) -> dict:
     """Product-system representatives on a product of A1 factors.
 
     f_values[i] is the concave value at the negative root of factor i.
@@ -363,12 +364,12 @@ def verify_product_representatives(factors, f_values, budget: int = 10**6) -> di
         if val == 0:
             candidates.append(fac.weyl_rep(alpha))
         labels = double_class_labels(fac, candidates, [fac.u(alpha, 1)], subgroup_gens(fac, fb))
-        sub = mulclose(fac, subgroup_gens(fac, fi), maxsize=budget)
+        sub = mulclose(fac, subgroup_gens(fac, fi), maxsize=ELEMENT_BUDGET)
         if not sub <= labels.keys():
             raise AssertionError("n*u candidates do not cover P_f cap P_i")
         per_factor_reps.append(list(dict.fromkeys(labels.values())))
 
-    pf_elements = mulclose(pg, all_gens_pf + b_gens, maxsize=budget)
+    pf_elements = mulclose(pg, all_gens_pf + b_gens, maxsize=ELEMENT_BUDGET)
     labels = double_class_labels(pg, sorted(pf_elements), u_gens, b_gens)
     classes = dict.fromkeys(labels.values())
     products = []
@@ -388,7 +389,7 @@ def verify_product_representatives(factors, f_values, budget: int = 10**6) -> di
 
 
 def verify_overgroup_classification(g: FiniteParahoricGroup,
-                                    budget: int = 10**6) -> dict:
+                                    budget: int = ELEMENT_BUDGET) -> dict:
     """Brute-force the interval [B, G] and match it to the concave lattice.
 
     Also verifies every P_f in the interval is its own normalizer.
@@ -480,14 +481,13 @@ def verify_pseudo_borel_conjugacy(g: FiniteParahoricGroup) -> dict:
             "failures": failures, "pass": not failures}
 
 
-def verify_reduction_kernel(type_label: str, isogeny: str, p: int, h: int,
-                            budget: int = 10**6) -> dict:
+def verify_reduction_kernel(type_label: str, isogeny: str, p: int, h: int) -> dict:
     """G(Z/p^h) -> G(Z/p^(h-1)) is onto with kernel of order p^dim."""
     if h < 2:
         raise ValueError("needs h >= 2")
     g = build_group(type_label, isogeny, p, h)
     small = build_group(type_label, isogeny, p, h - 1)
-    elements = mulclose(g, g.gens(), maxsize=budget)
+    elements = mulclose(g, g.gens(), maxsize=ELEMENT_BUDGET)
     reduced = {small.canon(tuple(v % small.mod for v in x)) for x in elements}
     kernel = sum(
         1 for x in elements

@@ -69,11 +69,6 @@ class FlagSpace:
         """The points of P_f/B: the fiber of G/B -> G/P_f over the base point."""
         return {i for i, lab in enumerate(self.quotient_labels(f)) if lab == 0}
 
-    def contains(self, f: ConcaveFunction, mat) -> bool:
-        """Membership of a group element in P_f (for f containing B):
-        g is in P_f iff the flag gB lies in the fiber of the base point."""
-        return self.quotient_labels(f)[self.orbit.locate(mat)] == 0
-
 
 def double_coset_count_flags(flags: FlagSpace, left_gens: list[Mat],
                              right_f: ConcaveFunction) -> int:

@@ -1,13 +1,16 @@
 """Kernel selection: the compiled core where it is exact, else pure Python.
 
+Both kernels have one interface: `mat_mul(a, b, n, mod)`, `IMPLEMENTATION`,
+and a `FlagOrbit(n, mod, p, k)` whose only methods are the three passes the
+package runs, `build`, `quotient` and `left_orbit_labels`, plus its length.
 The compiled kernel `_kernels` (built by setup.py from the hand-written C++
 source `_kernels.cpp`) serves an instance only when its fixed-size buffers,
 C `int` arithmetic and one-word packing can hold it; every other instance
 goes to `_kernels_py`.  So a compiled build never changes a count and never
 refuses an instance the Python kernel runs.  `IMPLEMENTATION` names the
 kernel that loaded ("compiled" or "python"); `kernel_for` returns the one
-that serves an instance.  Set PARAHORIC_PURE_PYTHON=1 to skip the compiled
-kernel altogether.
+that serves an instance, and `FlagOrbit` builds an orbit on it.  Set
+PARAHORIC_PURE_PYTHON=1 to skip the compiled kernel altogether.
 """
 
 from __future__ import annotations
@@ -44,10 +47,6 @@ def kernel_for(n: int, mod: int, k: int | None = None):
     if k is not None and bits * max(n * n, n if k == 1 else 3 * n) > 64:
         return _kernels_py
     return _impl
-
-
-def mat_mul(a, b, n: int, mod: int) -> tuple[int, ...]:
-    return kernel_for(n, mod).mat_mul(a, b, n, mod)
 
 
 def FlagOrbit(n: int, mod: int, p: int, k: int):

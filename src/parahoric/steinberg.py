@@ -37,13 +37,6 @@ from .groups.subgroups import double_class_labels, solvable_order, subgroup_gens
 # inner products in G via the flag machinery
 
 
-def perm_inner(g: FiniteParahoricGroup, f_left: ConcaveFunction,
-               f_right: ConcaveFunction, flags: FlagSpace | None = None) -> int:
-    """(1_L, 1_L') = #(L'\\G/L) for subgroups given by concave functions."""
-    flags = flags or FlagSpace(g)
-    return double_coset_count_flags(flags, subgroup_gens(g, f_left), f_right)
-
-
 def _index_sets(roots: list) -> list[frozenset]:
     """All subsets of roots, in a fixed order."""
     return [

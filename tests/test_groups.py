@@ -5,7 +5,7 @@ from collections import Counter
 
 import pytest
 
-from parahoric.closure import closure, orbit_labels
+from parahoric.closure import orbit_labels
 from parahoric.concave import (
     ConcaveFunction,
     enumerate_overgroups,
@@ -26,7 +26,7 @@ from parahoric.groups.checks import (
 from parahoric.groups.cosets import FlagSpace, brute_force_double_cosets, double_coset_count_flags
 from parahoric.groups import _kernels_py, group as group_module
 from parahoric.groups.group import FiniteParahoricGroup, GroupBuildError, build_group
-from parahoric.groups.kernels import BudgetExceeded
+from parahoric.groups.kernels import BudgetExceeded, FlagOrbit
 from parahoric.groups.subgroups import double_class, mulclose, solvable_order, subgroup_gens
 from parahoric.root_system import build_root_system, positive_systems
 
@@ -139,15 +139,14 @@ def _overgroup_cases():
 
 @pytest.mark.parametrize("group,k", list(_overgroup_cases()))
 def test_coset_count_is_index_of_base_fibre(request, group, k):
-    """[G : P_f] = |G/B| / |P_f/B|, with P_f/B the left orbit of the base flag
-    under P_f, and every fibre of G/B -> G/P_f has that size."""
+    """[G : P_f] = |G/B| / |P_f/B|, with P_f/B the orbit of the standard flag
+    under P_f, built on its own, and every fibre of G/B -> G/P_f has that size."""
     g = request.getfixturevalue(group)
     flags = request.getfixturevalue(f"flags_{group}")
     f = enumerate_overgroups(pseudo_borel_function(g.rs, g.h))[k]
-    gens = subgroup_gens(g, f)
-    fibre = closure([0], lambda j: [flags.orbit.apply_left(s, j) for s in gens])
-    assert flags.coset_count(f) == len(flags) // len(fibre)
-    assert set(Counter(flags.quotient_labels(f)).values()) == {len(fibre)}
+    fibre = FlagOrbit(g.n, g.mod, g.p, g.flag_k).build(subgroup_gens(g, f), len(flags))
+    assert flags.coset_count(f) == len(flags) // fibre
+    assert set(Counter(flags.quotient_labels(f)).values()) == {fibre}
 
 
 def test_flag_budget_refusal(sp4_9):
@@ -389,6 +388,24 @@ def test_absorption_small(sl2_9, flags_sl2_9):
     report = verify_exterior_class_absorption(sl2_9, flags=flags_sl2_9)
     assert report["pass"]
     assert report["results"]["B"]["exterior_classes"] == 1
+
+
+def _absorbed(b_classes, rub_classes):
+    return {left: {"exterior_classes": n, "classes_without_alpha": 0,
+                   "coarse_classes_without_common_alpha": 0}
+            for left, n in (("B", b_classes), ("RuB", rub_classes))}
+
+
+@pytest.mark.parametrize("group,b_classes,rub_classes", [
+    ("sl2_27", 3, 3), ("sl3_25", 14, 65), ("pgl3_25", 14, 65), ("sp4_9", 50, 71),
+])
+def test_absorption_reports_golden(group, b_classes, rub_classes):
+    """Full absorption results for L = B and L = R_u(B): exterior (L, B)
+    classes, and no class or class mod B_Delta without a simple root."""
+    g = build_group(*AXIOM_CASES[group])
+    report = verify_exterior_class_absorption(g)
+    assert report == {"instance": g.describe(), "pass": True,
+                      "results": _absorbed(b_classes, rub_classes)}
 
 
 def test_absorption_hypothesis_rejection():
